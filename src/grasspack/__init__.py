@@ -47,7 +47,7 @@ from .harness import (
     export,
     run_experiment,
 )
-from .linalg import HermitianEig, Svd, hermitian_eig, qr_orthonormal, svd
+from .linalg import hermitian_eig, qr_orthonormal
 from .projections import (
     SpectralSetSpec,
     StructuralSetSpec,
@@ -67,7 +67,6 @@ __all__ = [
     "Field",
     "GramMatrix",
     "GrasspackError",
-    "HermitianEig",
     "InitFailure",
     "InitParams",
     "InvalidInput",
@@ -84,7 +83,6 @@ __all__ = [
     "SolveReport",
     "SpectralSetSpec",
     "StructuralSetSpec",
-    "Svd",
     "alternate",
     "compare_reference",
     "dist",
@@ -110,6 +108,5 @@ __all__ = [
     "rho_from_mu",
     "run_experiment",
     "solve_fs_block",
-    "svd",
     "write_configuration",
 ]

@@ -16,6 +16,7 @@ from .geometry import Field, Metric
 
 __all__ = [
     "BoundReport",
+    "cell_bound",
     "rankin_chordal",
     "rankin_spectral",
     "rankin_projective",
@@ -97,6 +98,25 @@ def rankin_projective(d: int, N: int, field: Field) -> BoundReport:
         attainability_limit=limit,
         equidistance_implied=True,
         degrees=math.degrees(math.asin(math.sqrt(min(bound, 1.0)))),
+    )
+
+
+def cell_bound(space: str, metric: Metric, field: Field, d: int, K: int, N: int) -> BoundReport:
+    """The Rankin bound that judges one packing cell.
+
+    K = 1 subspaces are lines, so projective cells and K = 1 Grassmannian
+    cells all get the line-packing bound, whatever the metric.  Larger K
+    gets the chordal or spectral bound; every other cell has none.
+    """
+    if space == "projective" or (space == "grassmann" and K == 1):
+        return rankin_projective(d, N, field)
+    if space == "grassmann" and metric is Metric.CHORDAL:
+        return rankin_chordal(d, K, N, field)
+    if space == "grassmann" and metric is Metric.SPECTRAL:
+        return rankin_spectral(d, K, N, field)
+    raise InvalidInput(
+        f"no bound is available for space={space}, metric={metric.value}; "
+        "use an explicit mu or a reference file"
     )
 
 

@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from .bounds import rankin_chordal, rankin_projective, rankin_spectral
+from .bounds import cell_bound
 from .errors import GrasspackError, InvalidInput
 from .geometry import Field, Metric
 from .harness import (
@@ -133,14 +133,7 @@ def _cmd_bound(args) -> int:
     for d in args.d:
         for K in args.K:
             for N in args.N:
-                if args.space == "projective" or (args.space == "grassmann" and K == 1):
-                    report = rankin_projective(d, N, args.field)
-                elif metric is Metric.CHORDAL:
-                    report = rankin_chordal(d, K, N, args.field)
-                elif metric is Metric.SPECTRAL:
-                    report = rankin_spectral(d, K, N, args.field)
-                else:
-                    raise InvalidInput(f"no bound for space={args.space}, metric={metric.value}")
+                report = cell_bound(args.space, metric, args.field, d, K, N)
                 entry = {
                     "d": d, "K": K, "N": N,
                     "field": args.field.value, "metric": metric.value,

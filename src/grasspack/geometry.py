@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,9 +30,14 @@ __all__ = [
     "packing_diameter",
     "gram",
     "factor",
+    "block_cosines",
+    "cosine_distances",
+    "cosine_magnitudes",
     "max_block_magnitude",
+    "min_angle",
     "as_blocks",
     "from_blocks",
+    "upper_block_indices",
     "read_configuration",
     "write_configuration",
 ]
@@ -158,15 +164,57 @@ def from_blocks(B: np.ndarray) -> np.ndarray:
     return B.transpose(0, 2, 1, 3).reshape(N * K, N * K)
 
 
+@lru_cache(maxsize=64)
+def upper_block_indices(N: int):
+    """Block (row, column) indices of the pairs m < n, in row-major order."""
+    return np.triu_indices(N, 1)
+
+
+def block_cosines(G: GramMatrix) -> np.ndarray:
+    """Singular values of the upper off-diagonal blocks of a Gram matrix.
+
+    Row p holds the K principal-angle cosines, nonincreasing, of the p-th
+    pair m < n.  They are not clamped: roundoff may leave them just above 1.
+    """
+    iu, ju = upper_block_indices(G.N)
+    return np.linalg.svd(as_blocks(G.entries, G.K, G.N)[iu, ju], compute_uv=False)
+
+
+def cosine_distances(c: np.ndarray, metric: Metric) -> np.ndarray:
+    """Subspace distances from nonincreasing principal-angle cosines, one per
+    row of ``c`` (the last axis holds one pair's K cosines)."""
+    # Roundoff pushes cosines slightly above 1; arccos would produce NaN.
+    c = np.clip(c, 0.0, 1.0)
+    if metric is Metric.CHORDAL:
+        return np.sqrt(np.maximum(0.0, np.sum(1.0 - c * c, axis=-1)))
+    if metric is Metric.SPECTRAL:
+        return np.sqrt(np.maximum(0.0, 1.0 - c[..., 0] ** 2))
+    if metric is Metric.FUBINI_STUDY:
+        return np.arccos(np.minimum(1.0, np.prod(c, axis=-1)))
+    if metric is Metric.GEODESIC:
+        return np.linalg.norm(np.arccos(c), axis=-1)
+    raise InvalidInput(f"no subspace distance for {metric}; sphere points use inner products")
+
+
+def cosine_magnitudes(c: np.ndarray, metric: Metric) -> np.ndarray:
+    """Frobenius norm, 2-norm, or absolute determinant of the blocks whose
+    singular values are the rows of ``c``."""
+    if metric is Metric.CHORDAL:
+        return np.sqrt(np.sum(c * c, axis=-1))
+    if metric is Metric.SPECTRAL:
+        return c[..., 0]
+    if metric is Metric.FUBINI_STUDY:
+        return np.prod(c, axis=-1)
+    raise InvalidInput(f"no block magnitude from cosines for metric {metric}")
+
+
 def _angle_cosines(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Singular values of S*T, clamped into [0, 1], sorted nonincreasing."""
+    """Singular values of S*T, sorted nonincreasing."""
     S = np.asarray(S)
     T = np.asarray(T)
     if S.shape != T.shape or S.ndim != 2:
         raise InvalidInput(f"frame shapes differ: {S.shape} vs {T.shape}")
-    c = np.linalg.svd(S.conj().T @ T, compute_uv=False)
-    # Roundoff pushes cosines slightly above 1; arccos would produce NaN.
-    return np.clip(c, 0.0, 1.0)
+    return np.linalg.svd(S.conj().T @ T, compute_uv=False)
 
 
 def principal_angles(S: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -174,7 +222,7 @@ def principal_angles(S: np.ndarray, T: np.ndarray) -> np.ndarray:
 
     Returns K angles in [0, pi/2], nondecreasing.
     """
-    return np.arccos(_angle_cosines(S, T))
+    return np.arccos(np.clip(_angle_cosines(S, T), 0.0, 1.0))
 
 
 def dist(S: np.ndarray, T: np.ndarray, metric: Metric) -> float:
@@ -183,29 +231,12 @@ def dist(S: np.ndarray, T: np.ndarray, metric: Metric) -> float:
     Supports the chordal, spectral, Fubini-Study, and geodesic metrics.
     The sphere metric acts on points, not subspaces, and is rejected here.
     """
-    if metric is Metric.SPHERE:
-        raise InvalidInput("sphere metric applies to points; use inner products directly")
-    c = _angle_cosines(S, T)
-    if metric is Metric.CHORDAL:
-        return float(math.sqrt(max(0.0, float(np.sum(1.0 - c * c)))))
-    if metric is Metric.SPECTRAL:
-        return float(math.sqrt(max(0.0, 1.0 - float(c[0]) ** 2)))
-    if metric is Metric.FUBINI_STUDY:
-        return float(math.acos(min(1.0, float(np.prod(c)))))
-    if metric is Metric.GEODESIC:
-        return float(np.linalg.norm(np.arccos(c)))
-    raise InvalidInput(f"unsupported metric {metric}")
+    return float(cosine_distances(_angle_cosines(S, T), metric))
 
 
 def packing_diameter(config: Configuration, metric: Metric) -> float:
     """Minimum pairwise distance within a configuration."""
-    if config.N < 2:
-        raise InvalidInput("packing diameter needs at least two subspaces")
-    best = math.inf
-    for m in range(config.N):
-        for n in range(m + 1, config.N):
-            best = min(best, dist(config.blocks[m], config.blocks[n], metric))
-    return best
+    return float(np.min(cosine_distances(block_cosines(gram(config)), metric)))
 
 
 def gram(config: Configuration) -> GramMatrix:
@@ -263,23 +294,26 @@ def max_block_magnitude(G: GramMatrix, metric: Metric) -> float:
     dominate).
     """
     K, N = G.K, G.N
-    B = as_blocks(G.entries, K, N)
     off = ~np.eye(N, dtype=bool)
     if metric is Metric.CHORDAL:
+        B = as_blocks(G.entries, K, N)
         mags = np.sqrt(np.sum(np.abs(B) ** 2, axis=(2, 3)))
         return float(np.max(mags[off]))
-    if metric is Metric.SPECTRAL:
-        sigma = np.linalg.svd(B[off], compute_uv=False)
-        return float(np.max(sigma[:, 0]))
-    if metric is Metric.FUBINI_STUDY:
-        sigma = np.linalg.svd(B[off], compute_uv=False)
-        return float(np.max(np.prod(sigma, axis=1)))
+    if metric in (Metric.SPECTRAL, Metric.FUBINI_STUDY):
+        return float(np.max(cosine_magnitudes(block_cosines(G), metric)))
     if metric is Metric.SPHERE:
         if K != 1:
             raise InvalidInput("sphere magnitude requires K = 1")
         vals = np.real(G.entries[off])
         return float(np.max(vals))
     raise InvalidInput(f"no block magnitude defined for metric {metric}")
+
+
+def min_angle(mu: float, metric: Metric) -> float:
+    """Smallest pairwise angle, in radians, of K = 1 lines or sphere points
+    whose largest block magnitude (|<x, y>|, or <x, y> on a sphere) is mu."""
+    lo = -1.0 if metric is Metric.SPHERE else 0.0
+    return math.acos(min(1.0, max(lo, mu)))
 
 
 # --- configuration file format -------------------------------------------

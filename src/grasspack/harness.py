@@ -6,10 +6,10 @@ from an explicit value, or a sweep over multiples of the bound value), run
 independent seeded trials, and aggregate best/average packing diameters and
 iteration counts into result rows.
 
-Reporting conventions match the usual packing tables: line and sphere
-packings are reported as the minimum angle in degrees, subspace packings
-under the chordal and spectral metrics as squared diameters, and
-Fubini-Study packings scaled by 2/pi into [0, 1].
+Reporting conventions match the usual packing tables: line (K = 1, in any
+space and under any metric) and sphere packings are reported as the minimum
+angle in degrees, subspace packings under the chordal and spectral metrics
+as squared diameters, and Fubini-Study packings scaled by 2/pi into [0, 1].
 """
 
 from __future__ import annotations
@@ -18,19 +18,22 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import mu_from_rho, rankin_chordal, rankin_projective, rankin_spectral
+from .bounds import cell_bound, mu_from_rho
 from .errors import InitFailure, InvalidInput, NumericalFailure, ParseError, SingularBlock
 from .geometry import (
     Field,
     Metric,
+    block_cosines,
+    cosine_distances,
+    cosine_magnitudes,
     gram,
     max_block_magnitude,
-    packing_diameter,
+    min_angle,
     read_configuration,
 )
 from .solver import SolveParams, alternate
@@ -51,21 +54,6 @@ __all__ = [
 _SPACES = ("projective", "grassmann", "sphere")
 _UNITS = ("degrees", "squared_diameter")
 
-RESULT_FIELDS = (
-    "d",
-    "K",
-    "N",
-    "field",
-    "metric",
-    "mu_target",
-    "best_diameter",
-    "avg_diameter",
-    "error_vs_reference",
-    "avg_iterations",
-    "trials_failed",
-)
-
-
 @dataclass(frozen=True)
 class ResultRow:
     """One aggregated experiment cell, in table reporting units."""
@@ -81,6 +69,9 @@ class ResultRow:
     error_vs_reference: float
     avg_iterations: float
     trials_failed: int
+
+
+RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -149,12 +140,15 @@ class ReferenceTable:
         except OSError as exc:
             raise ParseError(f"cannot open reference file {path}: {exc}") from exc
         with fh:
+            first = True
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text or text.startswith("#"):
                     continue
-                if lineno == 1 and text.lower().startswith("d,"):
-                    continue  # optional header
+                if first:
+                    first = False
+                    if text.lower().startswith("d,"):
+                        continue  # optional header
                 parts = [p.strip() for p in text.split(",")]
                 if len(parts) != 5:
                     raise ParseError(f"{path}:{lineno}: expected 'd,K,N,value,unit'")
@@ -190,44 +184,44 @@ def _mu_cap(metric: Metric, K: int) -> float:
     return math.sqrt(K) if metric is Metric.CHORDAL else 1.0
 
 
+def _report_unit(metric: Metric, K: int) -> str:
+    """The unit a cell is reported, referenced, and bounded in."""
+    if metric is Metric.SPHERE or K == 1:
+        return "degrees"
+    if metric is Metric.FUBINI_STUDY:
+        return "scaled"  # no reference tables exist in this unit
+    return "squared_diameter"
+
+
 def _derive_mu(spec: ExperimentSpec, ref: ReferenceTable | None, d: int, K: int, N: int):
     """Feasibility parameter for one cell, or None when a reference row is missing."""
     if spec.mu_source == "explicit":
         return float(spec.mu_explicit)
+    unit = _report_unit(spec.metric, K)
     if spec.mu_source == "reference_file":
         row = ref.get(d, K, N)
         if row is None:
             return None
-        value, unit = row
+        value, ref_unit = row
+        if ref_unit != unit:
+            raise InvalidInput(
+                f"reference unit {ref_unit!r} does not match the unit {unit!r} "
+                f"of cell ({d},{K},{N})"
+            )
         if unit == "degrees":
-            if K != 1:
-                raise InvalidInput(
-                    f"reference for cell ({d},{K},{N}) is in degrees but K > 1"
-                )
             return math.cos(math.radians(value))
         return mu_from_rho(math.sqrt(value), spec.metric, K)
-    # rankin_bound
-    if spec.space == "projective":
-        bound = rankin_projective(d, N, spec.field).bound_value
-        return mu_from_rho(math.sqrt(bound), Metric.CHORDAL, 1)
-    if spec.metric is Metric.CHORDAL:
-        bound = rankin_chordal(d, K, N, spec.field).bound_value
-    elif spec.metric is Metric.SPECTRAL:
-        bound = rankin_spectral(d, K, N, spec.field).bound_value
-    else:
-        raise InvalidInput(
-            f"no bound is available for {spec.space}/{spec.metric.value}; "
-            "use an explicit mu or a reference file"
-        )
-    return mu_from_rho(math.sqrt(bound), spec.metric, K)
+    bound = cell_bound(spec.space, spec.metric, spec.field, d, K, N).bound_value
+    # K = 1 magnitudes are |<x, y>| under every metric, so every line cell
+    # takes the chordal conversion.
+    return mu_from_rho(math.sqrt(bound), Metric.CHORDAL if K == 1 else spec.metric, K)
 
 
-def _report_value(spec: ExperimentSpec, report) -> float:
-    if spec.space == "projective":
-        return math.degrees(math.acos(min(1.0, max(0.0, report.mu_achieved))))
-    if spec.space == "sphere":
-        return math.degrees(math.acos(min(1.0, max(-1.0, report.mu_achieved))))
-    if spec.metric is Metric.FUBINI_STUDY:
+def _report_value(metric: Metric, K: int, report) -> float:
+    unit = _report_unit(metric, K)
+    if unit == "degrees":
+        return math.degrees(min_angle(report.mu_achieved, metric))
+    if unit == "scaled":
         return report.final_diameter * 2.0 / math.pi
     return report.final_diameter**2
 
@@ -257,8 +251,30 @@ def _effective_workers(requested: int) -> int:
     cap = os.environ.get("GRASSPACK_WORKERS", "")
     workers = max(1, requested)
     if cap.strip():
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise InvalidInput(f"GRASSPACK_WORKERS must be an integer, got {cap!r}") from None
     return workers
+
+
+def _solve_cell(spec: ExperimentSpec, d: int, K: int, N: int, mu_base: float, workers: int):
+    """Solve reports (None where a trial failed) over the cell's trials and sweep."""
+    if spec.sweep is not None:
+        lo, hi, steps = spec.sweep
+        factors = np.linspace(lo, hi, int(steps))
+        mu_values = [min(mu_base * f, _mu_cap(spec.metric, K)) for f in factors]
+    else:
+        mu_values = [mu_base]
+    tasks = [
+        (s * spec.trials + k, mu)
+        for s, mu in enumerate(mu_values)
+        for k in range(spec.trials)
+    ]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda t: _run_trial(spec, d, K, N, t[1], t[0]), tasks))
+    return [_run_trial(spec, d, K, N, mu, idx) for idx, mu in tasks]
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -278,47 +294,21 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     )
     rows = []
     workers = _effective_workers(spec.workers)
-    for d, K, N in cells:
-        mu_base = _derive_mu(spec, ref, d, K, N)
+    # Every cell's mu first, so a bad reference or bound fails before any trial.
+    mus = [_derive_mu(spec, ref, d, K, N) for d, K, N in cells]
+    for (d, K, N), mu_base in zip(cells, mus):
         if mu_base is None:
-            rows.append(
-                ResultRow(
-                    d=d, K=K, N=N,
-                    field=spec.field.value, metric=spec.metric.value,
-                    mu_target=math.nan, best_diameter=math.nan, avg_diameter=math.nan,
-                    error_vs_reference=math.nan, avg_iterations=math.nan,
-                    trials_failed=spec.trials,
-                )
-            )
-            continue
-        if spec.sweep is not None:
-            lo, hi, steps = spec.sweep
-            factors = np.linspace(lo, hi, int(steps))
-            mu_values = [min(mu_base * f, _mu_cap(spec.metric, K)) for f in factors]
+            reports = [None] * spec.trials  # no reference row: every trial failed
         else:
-            mu_values = [mu_base]
-
-        tasks = [
-            (s * spec.trials + k, mu)
-            for s, mu in enumerate(mu_values)
-            for k in range(spec.trials)
-        ]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(
-                    pool.map(lambda t: _run_trial(spec, d, K, N, t[1], t[0]), tasks)
-                )
-        else:
-            reports = [_run_trial(spec, d, K, N, mu, idx) for idx, mu in tasks]
-
-        values = [_report_value(spec, r) for r in reports if r is not None]
+            reports = _solve_cell(spec, d, K, N, mu_base, workers)
+        values = [_report_value(spec.metric, K, r) for r in reports if r is not None]
         iterations = [r.iterations_used for r in reports if r is not None]
         failed = sum(1 for r in reports if r is None)
         rows.append(
             ResultRow(
                 d=d, K=K, N=N,
                 field=spec.field.value, metric=spec.metric.value,
-                mu_target=float(mu_base),
+                mu_target=math.nan if mu_base is None else float(mu_base),
                 best_diameter=max(values) if values else math.nan,
                 avg_diameter=float(np.mean(values)) if values else math.nan,
                 error_vs_reference=math.nan,
@@ -327,14 +317,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             )
         )
     return rows
-
-
-def _expected_unit(row: ResultRow) -> str:
-    if row.metric == Metric.SPHERE.value or row.K == 1:
-        return "degrees"
-    if row.metric == Metric.FUBINI_STUDY.value:
-        return "scaled"  # no reference tables exist in this unit
-    return "squared_diameter"
 
 
 def compare_reference(results: list[ResultRow], ref: ReferenceTable) -> list[ResultRow]:
@@ -346,10 +328,11 @@ def compare_reference(results: list[ResultRow], ref: ReferenceTable) -> list[Res
             annotated.append(row)
             continue
         value, unit = entry
-        if unit != _expected_unit(row):
+        row_unit = _report_unit(Metric(row.metric), row.K)
+        if unit != row_unit:
             raise InvalidInput(
                 f"reference unit {unit!r} does not match row unit "
-                f"{_expected_unit(row)!r} for cell ({row.d},{row.K},{row.N})"
+                f"{row_unit!r} for cell ({row.d},{row.K},{row.N})"
             )
         annotated.append(replace(row, error_vs_reference=value - row.best_diameter))
     return annotated
@@ -359,12 +342,13 @@ def evaluate_file(path) -> dict:
     """Diameters, block magnitudes, and Gram spectrum of a stored configuration."""
     config = read_configuration(path)
     g = gram(config)
+    c = block_cosines(g)
     diameters = {
-        m.value: packing_diameter(config, m)
+        m.value: float(np.min(cosine_distances(c, m)))
         for m in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY, Metric.GEODESIC)
     }
     magnitudes = {
-        m.value: max_block_magnitude(g, m)
+        m.value: float(np.max(cosine_magnitudes(c, m)))
         for m in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY)
     }
     eigenvalues = np.linalg.eigvalsh(g.entries)
@@ -377,16 +361,12 @@ def evaluate_file(path) -> dict:
         "max_block_magnitudes": magnitudes,
         "gram_eigenvalues": {"min": float(eigenvalues[0]), "max": float(eigenvalues[-1])},
     }
-    if config.K == 1:
-        out["min_angle_degrees"] = math.degrees(
-            math.acos(min(1.0, max(0.0, magnitudes["chordal"])))
-        )
+    if _report_unit(Metric.CHORDAL, config.K) == "degrees":
+        out["min_angle_degrees"] = math.degrees(min_angle(magnitudes["chordal"], Metric.CHORDAL))
         if config.field is Field.REAL:
             signed = max_block_magnitude(g, Metric.SPHERE)
             out["max_block_magnitudes"]["sphere"] = signed
-            out["sphere_min_angle_degrees"] = math.degrees(
-                math.acos(min(1.0, max(-1.0, signed)))
-            )
+            out["sphere_min_angle_degrees"] = math.degrees(min_angle(signed, Metric.SPHERE))
     return out
 
 
@@ -421,30 +401,29 @@ def read_results_csv(path) -> list[ResultRow]:
         for parts in reader:
             if len(parts) != len(RESULT_FIELDS):
                 raise ParseError(f"{path}: malformed row {parts}")
-            rows.append(
-                ResultRow(
+            try:
+                row = ResultRow(
                     d=int(parts[0]), K=int(parts[1]), N=int(parts[2]),
-                    field=parts[3], metric=parts[4],
+                    field=Field(parts[3]).value, metric=Metric(parts[4]).value,
                     mu_target=float(parts[5]), best_diameter=float(parts[6]),
                     avg_diameter=float(parts[7]), error_vs_reference=float(parts[8]),
                     avg_iterations=float(parts[9]), trials_failed=int(parts[10]),
                 )
-            )
+            except ValueError as exc:
+                raise ParseError(f"{path}: malformed row {parts}: {exc}") from exc
+            rows.append(row)
     return rows
 
 
-def _row_bound(row: ResultRow) -> float:
-    field = Field(row.field)
+def _plot_bound(row: ResultRow) -> float:
+    """The row's Rankin bound in the row's unit, or NaN when none applies."""
+    metric = Metric(row.metric)
+    space = "sphere" if metric is Metric.SPHERE else "grassmann"
     try:
-        if row.metric == Metric.CHORDAL.value and row.K == 1:
-            return rankin_projective(row.d, row.N, field).degrees
-        if row.metric == Metric.CHORDAL.value:
-            return rankin_chordal(row.d, row.K, row.N, field).bound_value
-        if row.metric == Metric.SPECTRAL.value:
-            return rankin_spectral(row.d, row.K, row.N, field).bound_value
+        report = cell_bound(space, metric, Field(row.field), row.d, row.K, row.N)
     except InvalidInput:
         return math.nan
-    return math.nan
+    return report.degrees if _report_unit(metric, row.K) == "degrees" else report.bound_value
 
 
 def export(results: list[ResultRow], fmt: str, out_dir=".", *, timestamp: bool = True) -> list:
@@ -477,7 +456,7 @@ def export(results: list[ResultRow], fmt: str, out_dir=".", *, timestamp: bool =
                         else math.nan
                     )
                     writer.writerow(
-                        [row.N, _fmt(row.best_diameter), _fmt(_row_bound(row)), _fmt(reference)]
+                        [row.N, _fmt(row.best_diameter), _fmt(_plot_bound(row)), _fmt(reference)]
                     )
             written.append(path)
     else:

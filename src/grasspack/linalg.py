@@ -1,20 +1,18 @@
 """Dense linear-algebra primitives with explicit numerical contracts.
 
 Every factorization here reconstructs its input to high relative accuracy,
-eigenvalues and singular values are always returned sorted nonincreasing,
-and inputs are checked for finiteness at the boundary.  Downstream code must
-never depend on eigenvector phases or signs, only on spectral projectors.
+eigenvalues are always returned sorted nonincreasing, and inputs are
+checked for finiteness at the boundary.  Downstream code must never depend
+on eigenvector phases or signs, only on spectral projectors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, RankDeficient
 
-__all__ = ["HermitianEig", "Svd", "hermitian_eig", "svd", "qr_orthonormal", "symmetrize"]
+__all__ = ["hermitian_eig", "qr_orthonormal", "symmetrize"]
 
 
 def _require_finite(A: np.ndarray, name: str = "matrix") -> None:
@@ -27,25 +25,8 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     return (A + A.conj().T) / 2
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition A = U diag(w) U* with w real, sorted nonincreasing."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class Svd:
-    """Thin SVD A = L diag(s) R* with s nonnegative, sorted nonincreasing."""
-
-    left: np.ndarray
-    singulars: np.ndarray
-    right: np.ndarray
-
-
-def hermitian_eig(A: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition A = U diag(w) U* of a Hermitian matrix, as (w, U).
 
     The input is symmetrized as (A + A*)/2 first, since iterates of the
     alternating projection accumulate asymmetry at roundoff level.
@@ -56,15 +37,7 @@ def hermitian_eig(A: np.ndarray) -> HermitianEig:
     _require_finite(A)
     w, U = np.linalg.eigh(symmetrize(A))
     # LAPACK returns ascending order; flip to nonincreasing.
-    return HermitianEig(eigenvalues=w[::-1].copy(), eigenvectors=U[:, ::-1].copy())
-
-
-def svd(A: np.ndarray) -> Svd:
-    """Thin singular value decomposition with nonincreasing singular values."""
-    A = np.asarray(A)
-    _require_finite(A)
-    L, s, Rh = np.linalg.svd(A, full_matrices=False)
-    return Svd(left=L, singulars=s, right=Rh.conj().T)
+    return w[::-1].copy(), U[:, ::-1].copy()
 
 
 def qr_orthonormal(A: np.ndarray) -> np.ndarray:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidInput, NumericalFailure
-from .geometry import Field, GramMatrix, Metric, as_blocks, from_blocks
+from .geometry import Field, GramMatrix, Metric, as_blocks, from_blocks, upper_block_indices
 from .linalg import hermitian_eig, symmetrize
 
 __all__ = [
@@ -72,11 +71,6 @@ class SpectralSetSpec:
             raise InvalidInput(f"rank cap must be >= 1, got {self.d}")
         if not self.trace_target > 0:
             raise InvalidInput(f"trace target must be positive, got {self.trace_target}")
-
-
-@lru_cache(maxsize=64)
-def _upper_block_indices(N: int):
-    return np.triu_indices(N, 1)
 
 
 def _plus_root(c, t):
@@ -221,7 +215,7 @@ def project_structural(G: GramMatrix, spec: StructuralSetSpec) -> GramMatrix:
         return GramMatrix(field=G.field, K=K, N=N, entries=H)
 
     B = as_blocks(A, K, N).copy()
-    iu, ju = _upper_block_indices(N)
+    iu, ju = upper_block_indices(N)
     blocks = B[iu, ju]
 
     if spec.metric is Metric.CHORDAL:
@@ -269,8 +263,8 @@ def project_spectral(H, spec: SpectralSetSpec) -> GramMatrix:
 
     n = entries.shape[0]
     r = min(spec.d, n)
-    eig = hermitian_eig(entries)
-    lam = eig.eigenvalues[:r]
+    lam, U = hermitian_eig(entries)
+    lam, U = lam[:r], U[:, :r]
     lam_list = [float(x) for x in lam]
     target = spec.trace_target
 
@@ -302,7 +296,6 @@ def project_spectral(H, spec: SpectralSetSpec) -> GramMatrix:
         )
 
     w = np.maximum(lam - gamma, 0.0)
-    U = eig.eigenvectors[:, :r]
     out = symmetrize((U * w) @ U.conj().T)
     if field is Field.REAL:
         out = out.real

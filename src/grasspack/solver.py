@@ -10,7 +10,6 @@ convergence diagnostic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .geometry import (
     Metric,
     factor,
     max_block_magnitude,
+    min_angle,
     packing_diameter,
 )
 from .linalg import symmetrize
@@ -90,11 +90,6 @@ def normalize_diagonal(G: GramMatrix) -> GramMatrix:
     return GramMatrix(field=G.field, K=K, N=N, entries=out)
 
 
-def _sphere_min_angle(G: GramMatrix) -> float:
-    cos_max = max_block_magnitude(G, Metric.SPHERE)
-    return math.acos(min(1.0, max(-1.0, cos_max)))
-
-
 def alternate(G0: GramMatrix, params: SolveParams) -> SolveReport:
     """Run the alternating projection from an initial Gram matrix.
 
@@ -126,8 +121,9 @@ def alternate(G0: GramMatrix, params: SolveParams) -> SolveReport:
 
     G_out = normalize_diagonal(G)
     config = factor(G_out, params.d)
+    mu_achieved = max_block_magnitude(G_out, params.metric)
     if params.metric is Metric.SPHERE:
-        diameter = _sphere_min_angle(G_out)
+        diameter = min_angle(mu_achieved, Metric.SPHERE)
     else:
         diameter = packing_diameter(config, params.metric)
     return SolveReport(
@@ -137,5 +133,5 @@ def alternate(G0: GramMatrix, params: SolveParams) -> SolveReport:
         final_gram=G_out,
         final_config=config,
         final_diameter=diameter,
-        mu_achieved=max_block_magnitude(G_out, params.metric),
+        mu_achieved=mu_achieved,
     )

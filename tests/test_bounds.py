@@ -3,6 +3,7 @@ import math
 import pytest
 
 from grasspack.bounds import (
+    cell_bound,
     mu_from_rho,
     rankin_chordal,
     rankin_projective,
@@ -58,6 +59,24 @@ def test_projective_matches_chordal_k1():
             assert rankin_projective(d, n, Field.REAL).bound_value == pytest.approx(
                 rankin_chordal(d, 1, n, Field.REAL).bound_value
             )
+
+
+def test_cell_bound_dispatch():
+    proj = rankin_projective(3, 4, Field.REAL)
+    # K = 1 cells are line packings under every metric and in either space.
+    for space in ("projective", "grassmann"):
+        for metric in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY):
+            assert cell_bound(space, metric, Field.REAL, 3, 1, 4) == proj
+    assert cell_bound("grassmann", Metric.CHORDAL, Field.COMPLEX, 4, 2, 6) == rankin_chordal(
+        4, 2, 6, Field.COMPLEX
+    )
+    assert cell_bound("grassmann", Metric.SPECTRAL, Field.COMPLEX, 4, 2, 6) == rankin_spectral(
+        4, 2, 6, Field.COMPLEX
+    )
+    with pytest.raises(InvalidInput):
+        cell_bound("grassmann", Metric.FUBINI_STUDY, Field.COMPLEX, 4, 2, 6)
+    with pytest.raises(InvalidInput):
+        cell_bound("sphere", Metric.SPHERE, Field.REAL, 3, 1, 4)
 
 
 def test_spectral_chordal_identity():

@@ -126,11 +126,12 @@ def test_packing_diameter_cube_diagonals():
 def test_packing_diameter_matches_brute_force():
     rng = np.random.default_rng(4)
     for field in (Field.REAL, Field.COMPLEX):
-        config = random_configuration(5, 2, 6, field, rng)
-        for metric in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY, Metric.GEODESIC):
-            assert packing_diameter(config, metric) == pytest.approx(
-                brute_force_diameter(config, metric), abs=1e-12
-            )
+        for N in (6, 40):
+            config = random_configuration(5, 2, N, field, rng)
+            for metric in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY, Metric.GEODESIC):
+                assert packing_diameter(config, metric) == pytest.approx(
+                    brute_force_diameter(config, metric), abs=1e-12
+                )
 
 
 def test_packing_diameter_requires_two():
@@ -238,12 +239,12 @@ def test_max_block_magnitude_pair_cosine():
 
 def test_max_block_magnitude_matches_brute_force():
     rng = np.random.default_rng(9)
-    config = random_configuration(5, 2, 5, Field.COMPLEX, rng)
-    g = gram(config)
-    for metric in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY):
-        assert max_block_magnitude(g, metric) == pytest.approx(
-            brute_force_block_magnitude(g, metric), abs=1e-12
-        )
+    for field, N in ((Field.COMPLEX, 5), (Field.REAL, 40), (Field.COMPLEX, 40)):
+        g = gram(random_configuration(5, 2, N, field, rng))
+        for metric in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY):
+            assert max_block_magnitude(g, metric) == pytest.approx(
+                brute_force_block_magnitude(g, metric), abs=1e-12
+            )
     lines = random_configuration(4, 1, 6, Field.REAL, rng)
     gl = gram(lines)
     assert max_block_magnitude(gl, Metric.SPHERE) == pytest.approx(

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+import grasspack.harness as harness
 from grasspack.bounds import rankin_projective
+from grasspack.cli import main
 from grasspack.errors import InvalidInput, ParseError
 from grasspack.geometry import Field, Metric, write_configuration
 from grasspack.harness import (
@@ -35,11 +37,13 @@ def _row(**kw):
 
 def test_reference_table_load(tmp_path):
     path = tmp_path / "refs.csv"
-    path.write_text("d,K,N,value,unit\n3,1,4,70.529,degrees\n4,2,5,1.25,squared_diameter\n")
-    ref = ReferenceTable.load(path)
-    assert ref.get(3, 1, 4) == (70.529, "degrees")
-    assert ref.get(4, 2, 5) == (1.25, "squared_diameter")
-    assert ref.get(9, 9, 9) is None
+    body = "d,K,N,value,unit\n3,1,4,70.529,degrees\n4,2,5,1.25,squared_diameter\n"
+    for text in (body, "# best known packings\n" + body):
+        path.write_text(text)
+        ref = ReferenceTable.load(path)
+        assert ref.get(3, 1, 4) == (70.529, "degrees")
+        assert ref.get(4, 2, 5) == (1.25, "squared_diameter")
+        assert ref.get(9, 9, 9) is None
 
 
 def test_reference_table_duplicate_key(tmp_path):
@@ -132,6 +136,59 @@ def test_run_experiment_reproducible_and_worker_independent():
     assert rows3 == rows1
 
 
+def test_malformed_workers_cap_is_a_usage_error(monkeypatch, tmp_path):
+    monkeypatch.setenv("GRASSPACK_WORKERS", "two")
+    spec = ExperimentSpec(
+        space="projective", field=Field.REAL, metric=Metric.CHORDAL,
+        d_values=(3,), N_values=(4,), trials=1,
+        mu_source="rankin_bound", max_iterations=10, seed=7,
+    )
+    with pytest.raises(InvalidInput):
+        run_experiment(spec)
+    code = main(["solve", "--space", "projective", "-d", "3", "-N", "4", "--mu-from-bound",
+                 "--trials", "1", "--max-iter", "10", "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+
+
+def _grassmann_lines(**kw):
+    base = dict(
+        space="grassmann", field=Field.REAL, metric=Metric.CHORDAL,
+        d_values=(3,), K_values=(1,), N_values=(4,), trials=2,
+        max_iterations=300, seed=4,
+    )
+    base.update(kw)
+    return ExperimentSpec(**base)
+
+
+def test_grassmann_k1_cells_report_degrees(tmp_path):
+    bound_deg = rankin_projective(3, 4, Field.REAL).degrees
+    (row,) = run_experiment(_grassmann_lines(mu_source="rankin_bound"))
+    assert 60.0 < row.best_diameter <= bound_deg + 1e-3
+
+    path = tmp_path / "refs.csv"
+    path.write_text("3,1,4,70.529,degrees\n")
+    rows = run_experiment(_grassmann_lines(mu_source="reference_file", reference_path=str(path)))
+    (row,) = compare_reference(rows, ReferenceTable.load(path))
+    assert abs(row.error_vs_reference) < 0.5  # degrees minus degrees
+
+    (series,) = export([row], "plot_data", tmp_path, timestamp=False)
+    n, achieved, bound, reference = open(series).read().strip().split("\n")[1].split(",")
+    assert float(achieved) == row.best_diameter
+    assert float(bound) == pytest.approx(bound_deg)
+    assert float(reference) == pytest.approx(70.529)
+
+
+def test_reference_unit_mismatch_fails_before_any_trial(monkeypatch, tmp_path):
+    path = tmp_path / "refs.csv"
+    path.write_text("3,1,4,70.529,degrees\n3,1,5,0.8889,squared_diameter\n")
+    trials = []
+    monkeypatch.setattr(harness, "_run_trial", lambda *args: trials.append(args))
+    spec = _grassmann_lines(N_values=(4, 5), mu_source="reference_file", reference_path=str(path))
+    with pytest.raises(InvalidInput):
+        run_experiment(spec)
+    assert trials == []
+
+
 def test_compare_reference_exact_and_subtraction():
     ref = ReferenceTable(rows={(3, 1, 4): (70.0, "degrees"), (3, 1, 14): (38.682, "degrees")})
     rows = [
@@ -203,6 +260,16 @@ def test_results_csv_roundtrip_17_digits(tmp_path):
             x, y = getattr(a, name), getattr(b, name)
             assert (math.isnan(x) and math.isnan(y)) or x == y
         assert a.trials_failed == b.trials_failed
+
+
+def test_read_results_csv_rejects_malformed_rows(tmp_path):
+    path = tmp_path / "results.csv"
+    write_results_csv([_row()], path, timestamp=False)
+    good = path.read_text()
+    for bad in (good.replace(",chordal,", ",bogus,"), good.replace(",70,", ",x,")):
+        path.write_text(bad)
+        with pytest.raises(ParseError):
+            read_results_csv(path)
 
 
 def test_export_plot_data_series(tmp_path):
