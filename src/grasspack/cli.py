@@ -58,11 +58,14 @@ def _parse_metric(text: str) -> Metric:
 
 
 def _parse_range(text: str) -> tuple:
-    """Accepts '4', '4..12', or '3,5,9'."""
+    """Accepts '4', '4..12', or '3,5,9'; an empty range is a usage error."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        values = tuple(range(int(lo), int(hi) + 1))
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}: the upper end is below the lower")
+        return values
     if "," in text:
         return tuple(int(p) for p in text.split(","))
     return (int(text),)

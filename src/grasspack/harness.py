@@ -18,13 +18,22 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .bounds import cell_bound, mu_from_rho
-from .errors import InitFailure, InvalidInput, NumericalFailure, ParseError, SingularBlock
+from .errors import (
+    InitFailure,
+    InvalidInput,
+    NotPSD,
+    NumericalFailure,
+    ParseError,
+    RankExceeded,
+    SingularBlock,
+)
 from .geometry import (
     Field,
     Metric,
@@ -243,7 +252,7 @@ def _run_trial(spec: ExperimentSpec, d: int, K: int, N: int, mu: float, trial_in
             d, K, N, spec.field, init, signed_similarity=(spec.space == "sphere")
         )
         return alternate(gram(config), params)
-    except (InitFailure, NumericalFailure, SingularBlock):
+    except (InitFailure, NumericalFailure, SingularBlock, NotPSD, RankExceeded):
         return None
 
 
@@ -376,10 +385,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextmanager
+def _atomic_text(path):
+    """Write a text file through a temporary file in the same directory.
+
+    The temporary file replaces ``path`` only once the block completes, so a
+    write that fails partway leaves any existing file at ``path`` intact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_results_csv(results: list[ResultRow], path, *, header_note: str = "",
                       timestamp: bool = True) -> None:
-    """Write rows at 17 significant digits, with optional commented metadata."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write rows at 17 significant digits, with optional commented metadata.
+
+    The file is replaced atomically: a failed write leaves the old one intact.
+    """
+    with _atomic_text(path) as fh:
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         if header_note:
@@ -446,7 +476,7 @@ def export(results: list[ResultRow], fmt: str, out_dir=".", *, timestamp: bool =
             groups.setdefault((row.metric, row.d, row.K), []).append(row)
         for (metric, d, K), rows in sorted(groups.items()):
             path = os.path.join(out_dir, f"plot_{metric}_d{d}_K{K}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with _atomic_text(path) as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["N", "achieved", "bound", "reference"])
                 for row in sorted(rows, key=lambda r: r.N):

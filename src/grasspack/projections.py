@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidInput, NumericalFailure
 from .geometry import Field, GramMatrix, Metric, as_blocks, from_blocks, upper_block_indices
@@ -73,121 +72,170 @@ class SpectralSetSpec:
             raise InvalidInput(f"trace target must be positive, got {self.trace_target}")
 
 
+# Multiplier scan for solve_fs_block, as fractions of its upper end min(c)^2 / 4.
+_SCAN = np.geomspace(1e-40, 1.0, 160)
+
+
 def _plus_root(c, t):
     """Larger root y of y^2 - c y + t = 0 (continuous with y = c at t = 0)."""
     return 0.5 * (c + np.sqrt(np.maximum(c * c - 4.0 * t, 0.0)))
 
 
-def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
-    """Nearest log-domain singular values under a determinant cap.
+def _refine_roots(c, branch, target, lo, hi, f_lo, f_hi):
+    """Safeguarded Newton-bisection on every bracket [lo, hi] at once.
 
-    Minimizes 0.5 * ||exp(x) - c||^2 subject to sum(x) <= log(mu), for
-    nonnegative singular values c with prod(c) > mu, so the constraint is
-    active at the solution.  Stationary points satisfy
-    exp(x_k) * (exp(x_k) - c_k) = -t for a single multiplier t >= 0; for
-    each t and coordinate this quadratic has two roots, and a second-order
-    argument shows at most one coordinate may sit on the smaller root.  We
-    therefore root-find the active-constraint equation along the all-larger-
-    roots branch (monotone, plain bisection) and along each one-smaller-root
-    branch (grid scan plus Brent), then return the candidate with least cost.
+    Row i of ``c`` holds the singular values of problem i.  Branch -1 puts
+    every coordinate on its larger root y_plus; branch j >= 0 puts coordinate
+    j on its smaller root t / y_plus (Vieta, avoiding cancellation).  The
+    residual is the log-product of the coordinates minus ``target``; it has
+    the values ``f_lo`` and ``f_hi``, of opposite signs, at the bracket ends.
+
+    Each problem takes the Newton step in t when it lands strictly inside its
+    bracket and bisects otherwise; a step shorter than half the stop
+    tolerance 1e-12 * t is lengthened to it, so a one-sided Newton approach
+    still closes the bracket.  A problem stops when its bracket is within the
+    tolerance or its residual is exactly zero, and returns the bracket end
+    with the smaller residual.
+    """
+    small = (branch >= 0).astype(float)
+    weight = np.ones_like(c)
+    on_small = np.nonzero(branch >= 0)[0]
+    weight[on_small, branch[on_small]] = -1.0
+    t = lo - f_lo * (hi - lo) / (f_hi - f_lo)  # false position: inside when signs differ
+    t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
+    t = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, t))
+    done = (f_lo == 0.0) | (f_hi == 0.0)
+    rising = f_lo < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            root = np.sqrt(np.maximum(c * c - 4.0 * t[:, None], 0.0))
+            y_plus = 0.5 * (c + root)
+            f = np.sum(weight * np.log(y_plus), axis=1) + small * np.log(t) - target
+            # d/dt log y_plus = -1 / (root * y_plus): infinite at the branch
+            # point c^2 = 4t, where the Newton step is rejected for bisection.
+            df = small / t - np.sum(weight / (root * y_plus), axis=1)
+            below = (f < 0.0) == rising  # the root lies above t
+            lo, f_lo = np.where(below, t, lo), np.where(below, f, f_lo)
+            hi, f_hi = np.where(below, hi, t), np.where(below, f_hi, f)
+            tol = 1e-280 + 1e-12 * t
+            done |= (f == 0.0) | (hi - lo <= tol)
+            if done.all():
+                break
+            step = -f / df
+            step = np.where(np.abs(step) < 0.5 * tol, np.copysign(0.5 * tol, step), step)
+            t_new = t + step
+            newton = (t_new > lo) & (t_new < hi)
+            t = np.where(done, t, np.where(newton, t_new, 0.5 * (lo + hi)))
+    return np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+
+
+def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
+    """Nearest log-domain singular values under a determinant cap, batched.
+
+    ``c`` is one block's nonnegative singular values, shape (K,), or one
+    block per row, shape (P, K); the result has the same shape.  Each row
+    minimizes 0.5 * ||exp(x) - c||^2 subject to sum(x) <= log(mu), and every
+    row must have prod(c) > mu, so the constraint is active at the solution.
+
+    Stationary points satisfy exp(x_k) * (exp(x_k) - c_k) = -t for a single
+    multiplier t in [0, min(c)^2 / 4]; for each t and coordinate this
+    quadratic has two roots, and a second-order argument shows at most one
+    coordinate may sit on the smaller root.  A 160-point geometric scan of t
+    brackets the active-constraint root on the all-larger-roots branch
+    (monotone in t) and every sign change on each one-smaller-root branch,
+    for all rows at once.  All brackets are then refined together by a
+    safeguarded Newton-bisection in t, using
+    d/dt log y_plus = -1 / (sqrt(c^2 - 4t) * y_plus).  Each row keeps its
+    least-cost candidate, is moved exactly onto the constraint through its
+    largest coordinate, and must meet stationarity to 1e-8; a row with no
+    candidate or a larger residual raises NumericalFailure.
     """
     c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size < 1:
-        raise InvalidInput("c must be a 1-D vector of singular values")
+    if c.ndim not in (1, 2) or c.size < 1:
+        raise InvalidInput("c must be a vector of singular values or a (P, K) stack of them")
     if not 0.0 < mu <= 1.0:
         raise InvalidInput(f"mu must lie in (0, 1], got {mu}")
-    c = np.maximum(c, 1e-12)
+    cs = np.maximum(c.reshape(-1, c.shape[-1]), 1e-12)
     target = math.log(mu) - 1e-12
-    if float(np.sum(np.log(c))) <= target:
+    if np.any(np.sum(np.log(cs), axis=1) <= target):
         raise InvalidInput("prod(c) <= mu: block is already feasible, nothing to solve")
-    K = c.size
+    P, K = cs.shape
     if K == 1:
-        return np.array([target])
+        return np.full(c.shape, target)
 
-    t_max = float(np.min(c * c)) / 4.0
+    t_max = np.min(cs * cs, axis=1) / 4.0
+    grid = np.zeros((P, 161))
+    grid[:, 1:] = t_max[:, None] * _SCAN
+    log_plus = np.log(_plus_root(cs[:, None, :], grid[:, :, None]))
+    total = np.sum(log_plus, axis=2)
+    # All-larger-roots branch: the residual falls from sum(log c) - target > 0
+    # at t = 0, so a root exists when it is <= 0 at t_max.
+    excess = total - target
+    p_all = np.nonzero(excess[:, -1] <= 0.0)[0]
+    i_all = np.argmax(excess[p_all] <= 0.0, axis=1)
+    # One-smaller-root branches: sign changes over the positive grid points.
+    gaps = (np.log(grid[:, 1:]) + total[:, 1:] - target)[:, :, None] - 2.0 * log_plus[:, 1:]
+    gaps = gaps.transpose(0, 2, 1)  # (P, K, 160)
+    p_sm, j_sm, i_sm = np.nonzero(np.diff(np.sign(gaps), axis=2) != 0)
+    p_end, j_end = np.nonzero(np.abs(gaps[:, :, -1]) < 1e-12)
 
-    def log_prod_plus(t, skip=-1):
-        total = 0.0
-        for k in range(K):
-            if k != skip:
-                total += math.log(_plus_root(c[k], t))
-        return total
+    row = np.concatenate([p_all, p_sm])
+    branch = np.concatenate([np.full(len(p_all), -1), j_sm])
+    lo = np.concatenate([grid[p_all, i_all - 1], grid[p_sm, i_sm + 1]])
+    hi = np.concatenate([grid[p_all, i_all], grid[p_sm, i_sm + 2]])
+    f_lo = np.concatenate([excess[p_all, i_all - 1], gaps[p_sm, j_sm, i_sm]])
+    f_hi = np.concatenate([excess[p_all, i_all], gaps[p_sm, j_sm, i_sm + 1]])
+    t = _refine_roots(cs[row], branch, target, lo, hi, f_lo, f_hi)
 
-    def branch_gap(t, j):
-        # Smaller root via Vieta (y_minus * y_plus = t) to avoid cancellation.
-        y_plus_j = _plus_root(c[j], t)
-        return math.log(t) - math.log(y_plus_j) + log_prod_plus(t, skip=j) - target
+    row = np.concatenate([row, p_end])
+    branch = np.concatenate([branch, j_end])
+    t = np.concatenate([t, t_max[p_end]])
 
-    candidates = []
+    has = np.zeros(P, dtype=bool)
+    has[row] = True
+    if not has.all():
+        bad = int(np.argmin(has))
+        raise NumericalFailure(f"no stationary point found for c={cs[bad].tolist()}, mu={mu}")
+    y = _plus_root(cs[row], t[:, None])
+    small = np.nonzero(branch >= 0)[0]
+    y[small, branch[small]] = t[small] / _plus_root(cs[row[small], branch[small]], t[small])
+    cost = 0.5 * np.sum((y - cs[row]) ** 2, axis=1)
+    # Stable sort: a cost tie goes to the earlier candidate, the all-larger
+    # branch first, then the smaller root on the lowest coordinate.
+    by_cost = np.lexsort((cost, row))
+    y = y[by_cost[np.searchsorted(row[by_cost], np.arange(P))]]
 
-    # All-larger-roots branch: log-product decreases monotonically in t.
-    if log_prod_plus(t_max) <= target:
-        lo, hi = 0.0, t_max
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if log_prod_plus(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * t_max:
-                break
-        t = 0.5 * (lo + hi)
-        candidates.append(_plus_root(c, t))
-
-    # One-smaller-root branches: scan for sign changes, refine with Brent.
-    grid = t_max * np.geomspace(1e-40, 1.0, 160)
-    log_plus = np.log(_plus_root(c[None, :], grid[:, None]))
-    all_gaps = (np.log(grid) + np.sum(log_plus, axis=1) - target)[:, None] - 2.0 * log_plus
-    xtol = max(1e-280, 1e-13 * t_max)
-    for j in range(K):
-        gaps = all_gaps[:, j]
-        sign_change = np.nonzero(np.diff(np.sign(gaps)) != 0)[0]
-        roots = [brentq(branch_gap, grid[i], grid[i + 1], args=(j,), xtol=xtol, rtol=1e-12)
-                 for i in sign_change]
-        if abs(gaps[-1]) < 1e-12:
-            roots.append(t_max)
-        for t in roots:
-            y = _plus_root(c, t)
-            y[j] = t / _plus_root(c[j], t)
-            candidates.append(y)
-
-    if not candidates:
-        raise NumericalFailure(
-            f"no stationary point found for c={c.tolist()}, mu={mu}"
-        )
-
-    costs = [0.5 * float(np.sum((y - c) ** 2)) for y in candidates]
-    y = candidates[int(np.argmin(costs))]
     # Land exactly on the constraint by absorbing root-finding residue into
     # the largest coordinate, where the log is least sensitive.
-    y = y.copy()
-    k_big = int(np.argmax(y))
-    y[k_big] = math.exp(target - float(np.sum(np.log(np.delete(y, k_big)))))
-    comp = y * (y - c)
-    t_star = -float(np.mean(comp))
-    if float(np.max(np.abs(comp + t_star))) > 1e-8:
+    rows = np.arange(P)
+    k_big = np.argmax(y, axis=1)
+    log_rest = np.log(y)
+    log_rest[rows, k_big] = 0.0
+    y[rows, k_big] = np.exp(target - np.sum(log_rest, axis=1))
+    comp = y * (y - cs)
+    residual = np.max(np.abs(comp - np.mean(comp, axis=1, keepdims=True)), axis=1)
+    if np.any(residual > 1e-8):
+        bad = int(np.argmax(residual))
         raise NumericalFailure(
-            f"stationarity residual {np.max(np.abs(comp + t_star)):.3e} above 1e-8 "
-            f"for c={c.tolist()}, mu={mu}"
+            f"stationarity residual {residual[bad]:.3e} above 1e-8 "
+            f"for c={cs[bad].tolist()}, mu={mu}"
         )
-    return np.log(y)
+    return np.log(y).reshape(c.shape)
 
 
 def _project_fs_blocks(blocks: np.ndarray, mu: float) -> np.ndarray:
     out = blocks.copy()
-    for p in range(blocks.shape[0]):
-        U, s, Vh = np.linalg.svd(blocks[p])
-        if float(np.prod(s)) <= mu:
-            continue
+    U, s, Vh = np.linalg.svd(blocks)
+    over = np.prod(s, axis=1) > mu
+    if np.any(over):
         if mu == 0.0:
             # The feasible set is the rank-deficient blocks; the nearest one
             # zeroes the smallest singular value.
-            s_new = s.copy()
-            s_new[-1] = 0.0
-            out[p] = (U * s_new) @ Vh
+            s_new = s[over].copy()
+            s_new[:, -1] = 0.0
         else:
-            x = solve_fs_block(s, mu)
-            out[p] = (U * np.exp(x)) @ Vh
+            s_new = np.exp(solve_fs_block(s[over], mu))
+        out[over] = np.einsum("pik,pk,pkj->pij", U[over], s_new, Vh[over])
     return out
 
 

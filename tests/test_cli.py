@@ -26,6 +26,13 @@ def test_bound_projective_degrees(capsys):
     assert out["degrees"] == pytest.approx(70.5288, abs=1e-3)
 
 
+def test_bound_empty_range_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["bound", "--space", "projective", "-d", "3", "-N", "5..4"])
+    assert err.value.code == 1
+    assert "empty range" in capsys.readouterr().err
+
+
 def test_solve_writes_results(tmp_path, capsys):
     out_path = tmp_path / "results.csv"
     code = main([
@@ -38,6 +45,16 @@ def test_solve_writes_results(tmp_path, capsys):
     rows = read_results_csv(out_path)
     assert [(r.d, r.N) for r in rows] == [(3, 3), (3, 4)]
     assert all(math.isfinite(r.best_diameter) for r in rows)
+
+
+def test_solve_empty_range_is_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "results.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--space", "projective", "-d", "3", "-N", "5..4", "--mu-from-bound",
+              "--trials", "1", "--out", str(out_path)])
+    assert err.value.code == 1
+    assert "empty range" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_solve_reproducible_bytes(tmp_path):

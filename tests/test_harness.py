@@ -7,7 +7,7 @@ import pytest
 import grasspack.harness as harness
 from grasspack.bounds import rankin_projective
 from grasspack.cli import main
-from grasspack.errors import InvalidInput, ParseError
+from grasspack.errors import InvalidInput, NotPSD, ParseError
 from grasspack.geometry import Field, Metric, write_configuration
 from grasspack.harness import (
     ExperimentSpec,
@@ -150,6 +150,36 @@ def test_malformed_workers_cap_is_a_usage_error(monkeypatch, tmp_path):
     assert code == 1
 
 
+def test_factorization_error_counts_as_failed_trial(monkeypatch):
+    import grasspack.solver as solver
+
+    real_factor = solver.factor
+    calls = []
+
+    def flaky_factor(G, d):
+        calls.append(d)
+        if len(calls) == 2:
+            raise NotPSD("injected")
+        return real_factor(G, d)
+
+    monkeypatch.setattr(solver, "factor", flaky_factor)
+    spec = ExperimentSpec(
+        space="projective", field=Field.REAL, metric=Metric.CHORDAL,
+        d_values=(3,), N_values=(4,), trials=3,
+        mu_source="rankin_bound", max_iterations=100, seed=1,
+    )
+    (row,) = run_experiment(spec)
+    assert row.trials_failed == 1
+    assert math.isfinite(row.best_diameter) and math.isfinite(row.avg_diameter)
+
+    def invalid_factor(G, d):
+        raise InvalidInput("injected")
+
+    monkeypatch.setattr(solver, "factor", invalid_factor)
+    with pytest.raises(InvalidInput):
+        run_experiment(spec)
+
+
 def _grassmann_lines(**kw):
     base = dict(
         space="grassmann", field=Field.REAL, metric=Metric.CHORDAL,
@@ -260,6 +290,33 @@ def test_results_csv_roundtrip_17_digits(tmp_path):
             x, y = getattr(a, name), getattr(b, name)
             assert (math.isnan(x) and math.isnan(y)) or x == y
         assert a.trials_failed == b.trials_failed
+
+
+def test_failed_writes_leave_existing_files_intact(monkeypatch, tmp_path):
+    path = tmp_path / "results.csv"
+    write_results_csv([_row()], path, timestamp=False)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        write_results_csv([_row(N=5), object()], path, timestamp=False)
+    assert path.read_bytes() == before
+
+    rows = [_row(d=4, K=2, N=n, field="complex") for n in (3, 4)]
+    (series,) = export(rows, "plot_data", tmp_path, timestamp=False)
+    before_series = open(series, "rb").read()
+    bounds = []
+
+    def failing_bound(row):
+        bounds.append(row)
+        if len(bounds) == 2:
+            raise RuntimeError("disk full")
+        return 1.5
+
+    monkeypatch.setattr(harness, "_plot_bound", failing_bound)
+    with pytest.raises(RuntimeError):
+        export([_row(d=4, K=2, N=n, field="complex", best_diameter=1.1) for n in (3, 4)],
+               "plot_data", tmp_path, timestamp=False)
+    assert open(series, "rb").read() == before_series
+    assert sorted(os.listdir(tmp_path)) == ["plot_chordal_d4_K2.csv", "results.csv"]
 
 
 def test_read_results_csv_rejects_malformed_rows(tmp_path):

@@ -263,6 +263,69 @@ def test_fs_block_rejects_bad_args():
         solve_fs_block(np.array([0.2, 0.2]), 0.9)  # already feasible
 
 
+def _infeasible_rows(rng, K, mu, count):
+    rows = []
+    while len(rows) < count:
+        c = rng.uniform(0.05, 1.2, size=K)
+        if np.prod(c) > mu * 1.001:
+            rows.append(c)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_fs_block_batched_matches_row_by_row(K):
+    rng = np.random.default_rng(15)
+    for mu in (0.02, 0.3):
+        # Small and large mu: rows land on the all-larger branch and on
+        # one-smaller-root branches.
+        c = _infeasible_rows(rng, K, mu, 30)
+        x = solve_fs_block(c, mu)
+        assert x.shape == c.shape
+        for row, xr in zip(c, x):
+            assert np.max(np.abs(xr - solve_fs_block(row, mu))) <= 1e-12
+
+
+def test_fs_block_batched_tiny_mu_vs_golden_section():
+    mu = math.cos(0.9995 * math.pi / 2)
+    rng = np.random.default_rng(16)
+    c = _infeasible_rows(rng, 2, mu, 40)
+    x = solve_fs_block(c, mu)
+    for row, xr in zip(c, x):
+        achieved = 0.5 * float(np.sum((np.exp(xr) - row) ** 2))
+        assert achieved <= fs_block_oracle_k2(row, mu) + 1e-8
+        assert float(np.sum(xr)) == pytest.approx(math.log(mu), abs=1e-9)
+
+
+def test_fs_block_batched_rejects_any_feasible_row():
+    c = np.array([[0.9, 0.9], [0.2, 0.2], [1.1, 0.8]])
+    with pytest.raises(InvalidInput):
+        solve_fs_block(c, 0.5)
+
+
+def test_structural_fs_mixed_blocks():
+    rng = np.random.default_rng(17)
+    mu, N = 0.3, 6
+    blocks = {}
+    for m in range(N):
+        for n in range(m + 1, N):
+            U, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            V, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            s = rng.uniform(0.2, 0.5, 2) if (m + n) % 2 else rng.uniform(0.6, 1.1, 2)
+            blocks[(m, n)] = U @ np.diag(s) @ V.conj().T
+    G = _gram_with_blocks(Field.COMPLEX, 2, N, lambda m, n: blocks[(m, n)])
+    H = project_structural(G, StructuralSetSpec(metric=Metric.FUBINI_STUDY, mu=mu, K=2, N=N))
+    feasible = solved = 0
+    for (m, n), block in blocks.items():
+        if np.prod(np.linalg.svd(block, compute_uv=False)) <= mu:
+            assert np.array_equal(H.block(m, n), G.block(m, n))
+            feasible += 1
+        else:
+            sigma = np.linalg.svd(H.block(m, n), compute_uv=False)
+            assert abs(np.prod(sigma) - mu) <= 1e-9
+            solved += 1
+    assert feasible > 0 and solved > 0
+
+
 # --- spectral projection --------------------------------------------------
 
 
