@@ -142,8 +142,7 @@ class GramMatrix:
             raise InvalidInput(f"expected {n}x{n} entries, got {A.shape}")
         if not np.all(np.isfinite(A)):
             raise InvalidInput("gram matrix contains non-finite entries")
-        scale = max(1.0, float(np.linalg.norm(A)))
-        if np.linalg.norm(A - A.conj().T) > 1e-10 * scale:
+        if not gram_entries_valid(A):
             raise InvalidInput("gram matrix is not Hermitian within tolerance")
         A = np.ascontiguousarray(A, dtype=self.field.dtype)
         object.__setattr__(self, "entries", A)
@@ -153,9 +152,18 @@ class GramMatrix:
         return self.entries[m * K : (m + 1) * K, n * K : (n + 1) * K]
 
 
+def gram_entries_valid(A: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (..., n, n) stack may be a Gram matrix's
+    entries: all finite, and Hermitian within 1e-10 * max(1, ||A||_F)."""
+    scale = np.linalg.norm(A, axis=(-2, -1))
+    asym = np.linalg.norm(A - np.swapaxes(A, -1, -2).conj(), axis=(-2, -1))
+    return np.isfinite(scale) & (asym <= 1e-10 * np.maximum(1.0, scale))
+
+
 def as_blocks(entries: np.ndarray, K: int, N: int) -> np.ndarray:
-    """View a KN-by-KN matrix as an (N, N, K, K) array of blocks."""
-    return entries.reshape(N, K, N, K).transpose(0, 2, 1, 3)
+    """View a KN-by-KN matrix, or a (..., KN, KN) stack of them, as an
+    (..., N, N, K, K) array of blocks."""
+    return entries.reshape(entries.shape[:-2] + (N, K, N, K)).swapaxes(-3, -2)
 
 
 def from_blocks(B: np.ndarray) -> np.ndarray:

@@ -25,15 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import cell_bound, mu_from_rho
-from .errors import (
-    InitFailure,
-    InvalidInput,
-    NotPSD,
-    NumericalFailure,
-    ParseError,
-    RankExceeded,
-    SingularBlock,
-)
+from .errors import InitFailure, InvalidInput, ParseError
 from .geometry import (
     Field,
     Metric,
@@ -45,7 +37,7 @@ from .geometry import (
     min_angle,
     read_configuration,
 )
-from .solver import SolveParams, alternate
+from .solver import TRIAL_FAILURES, SolveParams, _alternate_stack, _stack_trials, alternate
 from .starts import InitParams, initial_configuration
 
 __all__ = [
@@ -235,10 +227,17 @@ def _report_value(metric: Metric, K: int, report) -> float:
     return report.final_diameter**2
 
 
-def _run_trial(spec: ExperimentSpec, d: int, K: int, N: int, mu: float, trial_index: int):
+def _trial_start(spec: ExperimentSpec, d: int, K: int, N: int, trial_index: int):
     seed = _derive_trial_seed(spec.seed, trial_index)
     init = InitParams(tau=_default_tau(spec, K), max_draws=spec.max_draws, seed=seed)
-    params = SolveParams(
+    config = initial_configuration(
+        d, K, N, spec.field, init, signed_similarity=(spec.space == "sphere")
+    )
+    return gram(config)
+
+
+def _solve_params(spec: ExperimentSpec, d: int, K: int, N: int, mu: float) -> SolveParams:
+    return SolveParams(
         metric=spec.metric,
         mu=mu,
         d=d,
@@ -247,13 +246,31 @@ def _run_trial(spec: ExperimentSpec, d: int, K: int, N: int, mu: float, trial_in
         max_iterations=spec.max_iterations,
         stop_slack=spec.stop_slack,
     )
+
+
+def _run_trial(spec: ExperimentSpec, d: int, K: int, N: int, mu: float, trial_index: int):
+    params = _solve_params(spec, d, K, N, mu)
     try:
-        config = initial_configuration(
-            d, K, N, spec.field, init, signed_similarity=(spec.space == "sphere")
-        )
-        return alternate(gram(config), params)
-    except (InitFailure, NumericalFailure, SingularBlock, NotPSD, RankExceeded):
+        return alternate(_trial_start(spec, d, K, N, trial_index), params)
+    except (InitFailure, *TRIAL_FAILURES):
         return None
+
+
+def _run_chunk(spec: ExperimentSpec, d: int, K: int, N: int, mu: float, indices) -> list:
+    """Reports (None where a trial failed) of trials solved as one stack."""
+    if len(indices) == 1:
+        return [_run_trial(spec, d, K, N, mu, indices[0])]
+    params = _solve_params(spec, d, K, N, mu)
+    starts = {}
+    for idx in indices:
+        try:
+            starts[idx] = _trial_start(spec, d, K, N, idx).entries
+        except InitFailure:
+            pass
+    solved = {}
+    if starts:
+        solved = dict(zip(starts, _alternate_stack(np.stack(list(starts.values())), params)))
+    return [None if isinstance(r, Exception) else r for r in map(solved.get, indices)]
 
 
 def _effective_workers(requested: int) -> int:
@@ -268,22 +285,30 @@ def _effective_workers(requested: int) -> int:
 
 
 def _solve_cell(spec: ExperimentSpec, d: int, K: int, N: int, mu_base: float, workers: int):
-    """Solve reports (None where a trial failed) over the cell's trials and sweep."""
+    """Solve reports (None where a trial failed) over the cell's trials and sweep.
+
+    Each mu value's trials are solved in stacks of ``_stack_trials`` trials;
+    a pool of workers maps over the same stacks, so the reports do not
+    depend on the worker count.
+    """
     if spec.sweep is not None:
         lo, hi, steps = spec.sweep
         factors = np.linspace(lo, hi, int(steps))
         mu_values = [min(mu_base * f, _mu_cap(spec.metric, K)) for f in factors]
     else:
         mu_values = [mu_base]
-    tasks = [
-        (s * spec.trials + k, mu)
+    size = _stack_trials(spec.metric, K, N)
+    chunks = [
+        (mu, range(s * spec.trials + k, s * spec.trials + min(k + size, spec.trials)))
         for s, mu in enumerate(mu_values)
-        for k in range(spec.trials)
+        for k in range(0, spec.trials, size)
     ]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda t: _run_trial(spec, d, K, N, t[1], t[0]), tasks))
-    return [_run_trial(spec, d, K, N, mu, idx) for idx, mu in tasks]
+            solved = list(pool.map(lambda c: _run_chunk(spec, d, K, N, *c), chunks))
+    else:
+        solved = [_run_chunk(spec, d, K, N, mu, indices) for mu, indices in chunks]
+    return [report for chunk in solved for report in chunk]
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:

@@ -21,8 +21,12 @@ def _require_finite(A: np.ndarray, name: str = "matrix") -> None:
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
-    """Return (A + A*) / 2, exactly Hermitian in floating point."""
-    return (A + A.conj().T) / 2
+    """Return (A + A*) / 2, exactly Hermitian in floating point.
+
+    Acts on the last two axes, so a (..., n, n) stack is symmetrized matrix
+    by matrix.
+    """
+    return (A + np.swapaxes(A, -1, -2).conj()) / 2
 
 
 def hermitian_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,13 +35,14 @@ def hermitian_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The input is symmetrized as (A + A*)/2 first, since iterates of the
     alternating projection accumulate asymmetry at roundoff level.
     Eigenvalues come back nonincreasing, paired column-for-column with an
-    orthonormal eigenvector matrix.
+    orthonormal eigenvector matrix.  A (..., n, n) stack is decomposed
+    matrix by matrix, each exactly as it would be alone.
     """
     A = np.asarray(A)
     _require_finite(A)
     w, U = np.linalg.eigh(symmetrize(A))
     # LAPACK returns ascending order; flip to nonincreasing.
-    return w[::-1].copy(), U[:, ::-1].copy()
+    return w[..., ::-1].copy(), U[..., ::-1].copy()
 
 
 def qr_orthonormal(A: np.ndarray) -> np.ndarray:

@@ -4,7 +4,15 @@ The structural set fixes identity diagonal blocks and caps each off-diagonal
 block magnitude at mu, where "magnitude" depends on the metric (Frobenius
 norm, spectral norm, absolute determinant, or raw signed entry).  The
 spectral set contains positive-semidefinite matrices of rank at most d and
-fixed trace.  Alternating between the two is the solver's engine.
+fixed trace; its projection keeps the top d eigenpairs and shifts their
+eigenvalues by the closed-form projection onto a scaled simplex.
+Alternating between the two is the solver's engine.
+
+The public projections take and return ``GramMatrix`` objects.  Their
+kernels (``_split_blocks``, ``_cap_blocks``, ``_spectral_stack``) work on
+plain arrays of shape (KN, KN) or (T, KN, KN); a stack is projected matrix
+by matrix, every matrix bit-identically to how it would be projected alone,
+which lets the solver run T trials as one stack.
 """
 
 from __future__ import annotations
@@ -15,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .geometry import Field, GramMatrix, Metric, as_blocks, from_blocks, upper_block_indices
+from .geometry import (
+    Field,
+    GramMatrix,
+    Metric,
+    as_blocks,
+    cosine_magnitudes,
+    upper_block_indices,
+)
 from .linalg import hermitian_eig, symmetrize
 
 __all__ = [
@@ -223,20 +238,66 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     return np.log(y).reshape(c.shape)
 
 
-def _project_fs_blocks(blocks: np.ndarray, mu: float) -> np.ndarray:
-    out = blocks.copy()
+def _split_blocks(A: np.ndarray, metric: Metric, K: int, N: int) -> tuple:
+    """Upper off-diagonal blocks of a Hermitian matrix or (..., KN, KN) stack,
+    with the magnitudes and SVD the structural projection works from.
+
+    Returns ``(blocks, mags, U, s, Vh)``: blocks of shape (..., P, K, K) for
+    the P pairs m < n, their magnitudes (..., P), and their SVD, which is
+    None for the chordal and sphere metrics.  The input must be exactly
+    Hermitian, so the lower blocks carry nothing the upper ones do not.
+    """
+    iu, ju = upper_block_indices(N)
+    blocks = as_blocks(A, K, N)[..., iu, ju, :, :]
+    if metric is Metric.CHORDAL:
+        return blocks, np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(-2, -1))), None, None, None
+    if metric is Metric.SPHERE:
+        if np.iscomplexobj(blocks):
+            raise InvalidInput("sphere constraint set is defined for real matrices")
+        return blocks, blocks[..., 0, 0], None, None, None
     U, s, Vh = np.linalg.svd(blocks)
-    over = np.prod(s, axis=1) > mu
-    if np.any(over):
-        if mu == 0.0:
-            # The feasible set is the rank-deficient blocks; the nearest one
-            # zeroes the smallest singular value.
-            s_new = s[over].copy()
-            s_new[:, -1] = 0.0
-        else:
-            s_new = np.exp(solve_fs_block(s[over], mu))
-        out[over] = np.einsum("pik,pk,pkj->pij", U[over], s_new, Vh[over])
-    return out
+    return blocks, cosine_magnitudes(s, metric), U, s, Vh
+
+
+def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndarray:
+    """Structural projection of A from its :func:`_split_blocks` parts.
+
+    Returns a new matrix: A's upper blocks capped at mu, their conjugate
+    transposes below the diagonal, and identity diagonal blocks.  Blocks
+    already within the cap pass through bit-exactly.
+    """
+    blocks, mags, U, s, Vh = parts
+    mu = spec.mu
+    over = mags > mu
+    if spec.metric is Metric.CHORDAL:
+        scale = np.ones_like(mags)
+        scale[over] = (mu / mags[over]) * (1.0 - _FEAS_SHRINK)
+        out = blocks * scale[..., None, None]
+    elif spec.metric is Metric.SPHERE:
+        out = np.clip(blocks, -1.0, mu)
+    else:
+        out = blocks.copy()
+        if np.any(over):
+            s_over = s[over]
+            if spec.metric is Metric.SPECTRAL:
+                s_new = np.minimum(s_over, mu * (1.0 - _FEAS_SHRINK))
+            elif mu == 0.0:
+                # The feasible Fubini-Study set is the rank-deficient blocks;
+                # the nearest one zeroes the smallest singular value.
+                s_new = s_over.copy()
+                s_new[:, -1] = 0.0
+            else:
+                s_new = np.exp(solve_fs_block(s_over, mu))
+            out[over] = np.einsum("pik,pk,pkj->pij", U[over], s_new, Vh[over])
+
+    H = np.empty_like(A)
+    B = as_blocks(H, spec.K, spec.N)
+    iu, ju = upper_block_indices(spec.N)
+    B[..., iu, ju, :, :] = out
+    B[..., ju, iu, :, :] = np.swapaxes(out, -1, -2).conj()
+    idx = np.arange(spec.N)
+    B[..., idx, idx, :, :] = np.eye(spec.K, dtype=H.dtype)
+    return H
 
 
 def project_structural(G: GramMatrix, spec: StructuralSetSpec) -> GramMatrix:
@@ -252,43 +313,36 @@ def project_structural(G: GramMatrix, spec: StructuralSetSpec) -> GramMatrix:
             f"gram has block structure K={G.K}, N={G.N}; spec expects K={spec.K}, N={spec.N}"
         )
     A = symmetrize(G.entries)
-    K, N, mu = spec.K, spec.N, spec.mu
+    H = _cap_blocks(A, spec, _split_blocks(A, spec.metric, spec.K, spec.N))
+    return GramMatrix(field=G.field, K=spec.K, N=spec.N, entries=H)
 
-    if spec.metric is Metric.SPHERE:
-        if G.field is not Field.REAL:
-            raise InvalidInput("sphere constraint set is defined for real matrices")
-        H = np.clip(A, -1.0, mu)
-        np.fill_diagonal(H, 1.0)
-        H = np.triu(H) + np.triu(H, 1).T
-        return GramMatrix(field=G.field, K=K, N=N, entries=H)
 
-    B = as_blocks(A, K, N).copy()
-    iu, ju = upper_block_indices(N)
-    blocks = B[iu, ju]
+def _water_fill(lam: np.ndarray, target: float) -> np.ndarray:
+    """Shifted eigenvalues max(lam - gamma, 0) that sum to ``target``.
 
-    if spec.metric is Metric.CHORDAL:
-        norms = np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(1, 2)))
-        scale = np.ones(len(norms))
-        over = norms > mu
-        scale[over] = (mu / norms[over]) * (1.0 - _FEAS_SHRINK)
-        out = blocks * scale[:, None, None]
-    elif spec.metric is Metric.SPECTRAL:
-        out = blocks.copy()
-        U, s, Vh = np.linalg.svd(blocks)
-        over = s[:, 0] > mu
-        if np.any(over):
-            s_cut = np.minimum(s[over], mu * (1.0 - _FEAS_SHRINK))
-            out[over] = np.einsum("pik,pk,pkj->pij", U[over], s_cut, Vh[over])
-    elif spec.metric is Metric.FUBINI_STUDY:
-        out = _project_fs_blocks(blocks, mu)
-    else:
-        raise InvalidInput(f"no structural projection for metric {spec.metric}")
+    Each row of ``lam`` is nonincreasing.  This is the Euclidean projection
+    onto the simplex scaled to ``target`` (Duchi, Shalev-Shwartz, Singer &
+    Chandra, ICML 2008): with prefix sums S_j, gamma = (S_rho - target) / rho
+    for the largest rho with lam_rho > (S_rho - target) / rho.  gamma may be
+    negative, which raises every eigenvalue.
+    """
+    r = lam.shape[-1]
+    shifts = (np.cumsum(lam, axis=-1) - target) / np.arange(1, r + 1)
+    above = lam > shifts
+    above[..., 0] = True  # lam_1 - shift_1 = target > 0, lost only to rounding
+    rho = r - 1 - np.argmax(above[..., ::-1], axis=-1)
+    gamma = np.take_along_axis(shifts, rho[..., None], axis=-1)
+    return np.maximum(lam - gamma, 0.0)
 
-    B[iu, ju] = out
-    B[ju, iu] = out.conj().transpose(0, 2, 1)
-    idx = np.arange(N)
-    B[idx, idx] = np.eye(K, dtype=B.dtype)
-    return GramMatrix(field=G.field, K=K, N=N, entries=from_blocks(B))
+
+def _spectral_stack(H: np.ndarray, spec: SpectralSetSpec) -> np.ndarray:
+    """Spectral projection of a Hermitian matrix or (..., n, n) stack, as
+    plain arrays; each matrix is projected exactly as it would be alone."""
+    lam, U = hermitian_eig(H)
+    r = min(spec.d, H.shape[-1])
+    V = U[..., :r]
+    w = _water_fill(lam[..., :r], spec.trace_target)
+    return symmetrize((V * w[..., None, :]) @ np.swapaxes(V, -1, -2).conj())
 
 
 def project_spectral(H, spec: SpectralSetSpec) -> GramMatrix:
@@ -297,8 +351,7 @@ def project_spectral(H, spec: SpectralSetSpec) -> GramMatrix:
     With eigenvalues sorted nonincreasing, the projection keeps the top d
     eigenvectors and shifts their eigenvalues by a scalar gamma, flooring at
     zero, where gamma solves sum((lambda_j - gamma)_+) = trace_target.  The
-    sum is monotone in gamma, so gamma is found by bisection, which stays
-    safe at the kinks of the plus operator.
+    shift is the closed-form simplex projection of :func:`_water_fill`.
     """
     if isinstance(H, GramMatrix):
         entries, field, K, N = H.entries, H.field, H.K, H.N
@@ -308,43 +361,4 @@ def project_spectral(H, spec: SpectralSetSpec) -> GramMatrix:
         K, N = 1, entries.shape[0]
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {entries.shape}")
-
-    n = entries.shape[0]
-    r = min(spec.d, n)
-    lam, U = hermitian_eig(entries)
-    lam, U = lam[:r], U[:, :r]
-    lam_list = [float(x) for x in lam]
-    target = spec.trace_target
-
-    def shifted_trace(gamma: float) -> float:
-        total = 0.0
-        for x in lam_list:
-            diff = x - gamma
-            if diff > 0.0:
-                total += diff
-        return total
-
-    lo = lam_list[0] - target - 1.0
-    hi = lam_list[0]
-    gamma = None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        total = shifted_trace(mid)
-        if abs(total - target) <= 1e-12 * target:
-            gamma = mid
-            break
-        if total > target:
-            lo = mid
-        else:
-            hi = mid
-    if gamma is None:
-        raise NumericalFailure(
-            f"trace bisection did not converge: residual "
-            f"{shifted_trace(0.5 * (lo + hi)) - target:.3e}"
-        )
-
-    w = np.maximum(lam - gamma, 0.0)
-    out = symmetrize((U * w) @ U.conj().T)
-    if field is Field.REAL:
-        out = out.real
-    return GramMatrix(field=field, K=K, N=N, entries=out)
+    return GramMatrix(field=field, K=K, N=N, entries=_spectral_stack(entries, spec))

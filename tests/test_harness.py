@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import grasspack.harness as harness
+import grasspack.projections as projections
 from grasspack.bounds import rankin_projective
 from grasspack.cli import main
-from grasspack.errors import InvalidInput, NotPSD, ParseError
+from grasspack.errors import InvalidInput, NotPSD, NumericalFailure, ParseError
 from grasspack.geometry import Field, Metric, write_configuration
 from grasspack.harness import (
     ExperimentSpec,
@@ -23,6 +24,8 @@ from grasspack.harness import (
 from grasspack.solver import SolveParams, alternate
 from grasspack.starts import InitParams, initial_configuration
 from grasspack.geometry import Configuration, gram
+
+from tests.test_solver import assert_same_report
 
 
 def _row(**kw):
@@ -365,3 +368,69 @@ def test_spec_validation():
         ExperimentSpec(space="grassmann", field=Field.COMPLEX, metric=Metric.FUBINI_STUDY,
                        d_values=(4,), K_values=(2,), N_values=(4,),
                        mu_source="explicit")  # missing mu_explicit
+
+
+def test_sweep_cell_reports_match_solo_solves():
+    spec = ExperimentSpec(
+        space="grassmann", field=Field.COMPLEX, metric=Metric.SPECTRAL,
+        d_values=(4,), K_values=(2,), N_values=(5,), trials=5,
+        mu_source="rankin_bound", sweep=(1.0, 1.3, 3), max_iterations=200, seed=2,
+    )
+    mu_base = harness._derive_mu(spec, None, 4, 2, 5)
+    reports = harness._solve_cell(spec, 4, 2, 5, mu_base, workers=1)
+    mu_values = [min(mu_base * f, 1.0) for f in np.linspace(1.0, 1.3, 3)]
+    solo = [
+        harness._run_trial(spec, 4, 2, 5, mu, s * spec.trials + k)
+        for s, mu in enumerate(mu_values)
+        for k in range(spec.trials)
+    ]
+    assert len({r.iterations_used for r in reports}) > 1
+    for got, want in zip(reports, solo, strict=True):
+        assert_same_report(got, want)
+
+
+FS_SPEC = ExperimentSpec(
+    space="grassmann", field=Field.COMPLEX, metric=Metric.FUBINI_STUDY,
+    d_values=(4,), K_values=(2,), N_values=(4,), trials=6,
+    mu_source="explicit", mu_explicit=math.cos(0.9995 * math.pi / 2),
+    max_iterations=100, seed=5,
+)
+
+
+@pytest.mark.parametrize("site, error", [
+    ("solve_fs_block", NumericalFailure("injected")),  # the batched block solve raises
+    ("solve_fs_block", None),  # it returns NaN: a non-finite structural iterate
+    ("hermitian_eig", np.linalg.LinAlgError("injected")),  # the stacked eigh raises
+])
+def test_one_failing_trial_fails_alone(monkeypatch, site, error):
+    mu, bad = FS_SPEC.mu_explicit, 3
+    solo = [harness._run_trial(FS_SPEC, 4, 2, 4, mu, k) for k in range(FS_SPEC.trials)]
+    item_dims = 1 if site == "solve_fs_block" else 2  # rows of singular values, or matrices
+
+    def items(x):
+        return x.reshape(-1, *x.shape[x.ndim - item_dims:])
+
+    # The items trial `bad` hands to the site first mark it inside any stack.
+    real = getattr(projections, site)
+    first = []
+    monkeypatch.setattr(projections, site, lambda x, *a: first.append(x.copy()) or real(x, *a))
+    harness._run_trial(FS_SPEC, 4, 2, 4, mu, bad)
+    marked = {item.tobytes() for item in items(first[0])}
+
+    def faulty(x, *args):
+        hit = np.array([item.tobytes() in marked for item in items(x)])
+        if hit.any() and error is not None:
+            raise error
+        out = real(x, *args)
+        if error is None:
+            out[hit] = np.nan
+        return out
+
+    monkeypatch.setattr(projections, site, faulty)
+    reports = harness._solve_cell(FS_SPEC, 4, 2, 4, mu, workers=1)
+    assert reports[bad] is None
+    for k in range(FS_SPEC.trials):
+        if k != bad:
+            assert_same_report(reports[k], solo[k])
+    (row,) = run_experiment(FS_SPEC)
+    assert row.trials_failed == 1

@@ -8,6 +8,7 @@ from grasspack.geometry import Field, GramMatrix, Metric, as_blocks, from_blocks
 from grasspack.projections import (
     SpectralSetSpec,
     StructuralSetSpec,
+    _water_fill,
     project_spectral,
     project_structural,
     solve_fs_block,
@@ -382,3 +383,49 @@ def test_spectral_spec_validation():
         SpectralSetSpec(d=0, trace_target=4.0)
     with pytest.raises(InvalidInput):
         SpectralSetSpec(d=2, trace_target=0.0)
+
+
+def _shift_by_bisection(lam, target):
+    """Reference: bisect for gamma with sum((lam - gamma)_+) = target."""
+    lo, hi = float(lam[0]) - target - 1.0, float(lam[0])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sum(max(float(x) - mid, 0.0) for x in lam) > target:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(np.asarray(lam) - 0.5 * (lo + hi), 0.0)
+
+
+def test_water_fill_matches_bisection():
+    rng = np.random.default_rng(21)
+    cases = [
+        ([3.0, 3.0, 3.0, 0.5, 0.5], 2.0),  # ties at the top
+        ([2.0, 1.0, 1.0, 1.0, -0.5], 3.0),  # ties at the cut
+        ([10.0, 1.0, 0.5, -1.0], 2.0),  # all but one eigenvalue floored
+        ([0.5, 0.2, -0.3], 4.0),  # negative shift raises every eigenvalue
+        ([1.0, 1.0], 2.0),  # zero shift
+    ]
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        lam = np.sort(rng.standard_normal(n) * rng.uniform(0.1, 5.0))[::-1]
+        cases.append((lam, float(rng.uniform(0.1, 2.0 * n))))
+    for lam, target in cases:
+        lam = np.asarray(lam, dtype=float)
+        got = _water_fill(lam, target)
+        assert np.max(np.abs(got - _shift_by_bisection(lam, target))) <= 1e-12 * target
+        assert np.sum(got) == pytest.approx(target, rel=1e-12)
+    stack = np.array([np.sort(rng.standard_normal(6))[::-1] for _ in range(4)])
+    rows = np.array([_water_fill(row, 3.0) for row in stack])
+    assert np.array_equal(_water_fill(stack, 3.0), rows)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_spectral_rank_cap_at_or_above_dimension_vs_bisection(field):
+    rng = np.random.default_rng(22)
+    for n, d in [(5, 5), (5, 9)]:
+        H = random_hermitian(n, field, rng, scale=1.5)
+        out = project_spectral(H, SpectralSetSpec(d=d, trace_target=float(n)))
+        w, U = np.linalg.eigh(H)
+        w_ref = _shift_by_bisection(w[::-1], float(n))[::-1]
+        assert np.linalg.norm(out.entries - (U * w_ref) @ U.conj().T) <= 1e-12 * n

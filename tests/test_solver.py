@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from grasspack.bounds import rankin_chordal, rankin_spectral
+from grasspack.bounds import mu_from_rho, rankin_chordal, rankin_spectral
 from grasspack.errors import InvalidInput, SingularBlock
 from grasspack.geometry import Field, GramMatrix, Metric, gram
-from grasspack.solver import SolveParams, SolveReport, alternate, normalize_diagonal
+from grasspack.solver import (
+    SolveParams,
+    SolveReport,
+    _alternate_stack,
+    alternate,
+    normalize_diagonal,
+)
 from grasspack.starts import InitParams, initial_configuration
 
 from tests.oracles import random_configuration
@@ -146,3 +152,47 @@ def test_solve_report_is_frozen():
     assert isinstance(rep, SolveReport)
     with pytest.raises(AttributeError):
         rep.iterations_used = 7
+
+
+def assert_same_report(a, b):
+    """Bit-for-bit equality of two solve reports."""
+    assert a.iterations_used == b.iterations_used
+    assert a.gap_history == b.gap_history
+    assert np.array_equal(a.final_gram.entries, b.final_gram.entries)
+    assert a.final_diameter == b.final_diameter
+
+
+def _kn48_mu():
+    # Below the chordal bound of 24 planes in C^8, so trials stop at
+    # different iterations instead of all running to the cap.
+    bound = rankin_chordal(8, 2, 24, Field.COMPLEX).bound_value
+    return mu_from_rho(math.sqrt(0.7 * bound), Metric.CHORDAL, 2)
+
+
+STACK_CASES = {
+    "real_chordal_lines": (Metric.CHORDAL, Field.REAL, 3, 1, 7, math.cos(math.radians(54.5)), 300),
+    "complex_chordal_kn48": (Metric.CHORDAL, Field.COMPLEX, 8, 2, 24, _kn48_mu(), 150),
+    "complex_spectral": (Metric.SPECTRAL, Field.COMPLEX, 4, 2, 5, 0.75, 300),
+    "complex_fubini_study": (
+        Metric.FUBINI_STUDY, Field.COMPLEX, 4, 2, 4, math.cos(0.9995 * math.pi / 2), 100,
+    ),
+    "sphere": (Metric.SPHERE, Field.REAL, 3, 1, 6, 0.1, 300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_trials_match_solo_solves(case):
+    metric, field, d, K, N, mu, cap = STACK_CASES[case]
+    starts = [
+        gram(initial_configuration(
+            d, K, N, field, InitParams(tau=0.9 if K == 1 else math.sqrt(K), seed=seed),
+            signed_similarity=metric is Metric.SPHERE,
+        ))
+        for seed in range(5 if K * N > 24 else 6)
+    ]
+    params = SolveParams(metric=metric, mu=mu, d=d, K=K, N=N, max_iterations=cap)
+    stacked = _alternate_stack(np.stack([g.entries for g in starts]), params)
+    # Trials leave the stack at different iterations.
+    assert len({r.iterations_used for r in stacked}) > 1
+    for G0, report in zip(starts, stacked):
+        assert_same_report(report, alternate(G0, params))
