@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NotPSD, ParseError, RankExceeded
-from .linalg import qr_orthonormal, symmetrize
+from .linalg import hermitian_eig, qr_orthonormal, symmetrize
 
 __all__ = [
     "Field",
@@ -128,7 +128,12 @@ class Configuration:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """KN-by-KN Hermitian matrix viewed as an N-by-N grid of K-by-K blocks."""
+    """KN-by-KN Hermitian matrix viewed as an N-by-N grid of K-by-K blocks.
+
+    Owns the Hermitian invariant: the entries must be finite and Hermitian
+    within 1e-10 * max(1, ||A||_F), and are stored as (A + A*)/2, exactly
+    Hermitian, so no consumer symmetrizes them again.
+    """
 
     field: Field
     K: int
@@ -142,22 +147,13 @@ class GramMatrix:
             raise InvalidInput(f"expected {n}x{n} entries, got {A.shape}")
         if not np.all(np.isfinite(A)):
             raise InvalidInput("gram matrix contains non-finite entries")
-        if not gram_entries_valid(A):
+        if np.linalg.norm(A - A.conj().T) > 1e-10 * max(1.0, np.linalg.norm(A)):
             raise InvalidInput("gram matrix is not Hermitian within tolerance")
-        A = np.ascontiguousarray(A, dtype=self.field.dtype)
-        object.__setattr__(self, "entries", A)
+        object.__setattr__(self, "entries", symmetrize(np.asarray(A, dtype=self.field.dtype)))
 
     def block(self, m: int, n: int) -> np.ndarray:
         K = self.K
         return self.entries[m * K : (m + 1) * K, n * K : (n + 1) * K]
-
-
-def gram_entries_valid(A: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a (..., n, n) stack may be a Gram matrix's
-    entries: all finite, and Hermitian within 1e-10 * max(1, ||A||_F)."""
-    scale = np.linalg.norm(A, axis=(-2, -1))
-    asym = np.linalg.norm(A - np.swapaxes(A, -1, -2).conj(), axis=(-2, -1))
-    return np.isfinite(scale) & (asym <= 1e-10 * np.maximum(1.0, scale))
 
 
 def as_blocks(entries: np.ndarray, K: int, N: int) -> np.ndarray:
@@ -216,6 +212,29 @@ def cosine_magnitudes(c: np.ndarray, metric: Metric) -> np.ndarray:
     raise InvalidInput(f"no block magnitude from cosines for metric {metric}")
 
 
+def _split_blocks(A: np.ndarray, metric: Metric, K: int, N: int) -> tuple:
+    """Upper off-diagonal blocks of an exactly Hermitian matrix or
+    (..., KN, KN) stack, with their magnitudes and SVD.
+
+    Returns ``(blocks, mags, U, s, Vh)``: blocks of shape (..., P, K, K) for
+    the P pairs m < n, their magnitudes (..., P), and their SVD (None for
+    the chordal and sphere metrics).  Magnitudes are Frobenius norms
+    (chordal), 2-norms (spectral), absolute determinants (Fubini-Study), or
+    the raw signed entry (sphere, real K = 1 only, so like-signed
+    near-neighbors dominate).
+    """
+    iu, ju = upper_block_indices(N)
+    blocks = as_blocks(A, K, N)[..., iu, ju, :, :]
+    if metric is Metric.CHORDAL:
+        return blocks, np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(-2, -1))), None, None, None
+    if metric is Metric.SPHERE:
+        if K != 1 or np.iscomplexobj(blocks):
+            raise InvalidInput("sphere magnitudes are defined for real matrices with K = 1")
+        return blocks, blocks[..., 0, 0], None, None, None
+    U, s, Vh = np.linalg.svd(blocks)
+    return blocks, cosine_magnitudes(s, metric), U, s, Vh
+
+
 def _angle_cosines(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Singular values of S*T, sorted nonincreasing."""
     S = np.asarray(S)
@@ -250,8 +269,7 @@ def packing_diameter(config: Configuration, metric: Metric) -> float:
 def gram(config: Configuration) -> GramMatrix:
     """Gram matrix G = X*X of a configuration."""
     X = config.matrix
-    G = symmetrize(X.conj().T @ X)
-    return GramMatrix(field=config.field, K=config.K, N=config.N, entries=G)
+    return GramMatrix(field=config.field, K=config.K, N=config.N, entries=X.conj().T @ X)
 
 
 def factor(
@@ -277,8 +295,7 @@ def factor(
     for n in range(N):
         if np.max(np.abs(G.block(n, n) - eye)) > diag_tol:
             raise InvalidInput(f"diagonal block {n} is not the identity within {diag_tol:g}")
-    w, U = np.linalg.eigh(symmetrize(G.entries))
-    w, U = w[::-1], U[:, ::-1]
+    w, U = hermitian_eig(G.entries)
     lam1 = max(float(w[0]), 0.0)
     if float(w[-1]) < -psd_tol * max(lam1, 1e-300):
         raise NotPSD(f"most negative eigenvalue {w[-1]:.3e} exceeds tolerance")
@@ -294,27 +311,9 @@ def factor(
 
 
 def max_block_magnitude(G: GramMatrix, metric: Metric) -> float:
-    """Largest off-diagonal block magnitude, measured per metric.
-
-    Chordal uses the Frobenius norm, spectral the 2-norm, Fubini-Study the
-    absolute determinant (computed as a product of singular values), and
-    sphere the raw signed entry (K = 1 only, so like-signed near-neighbors
-    dominate).
-    """
-    K, N = G.K, G.N
-    off = ~np.eye(N, dtype=bool)
-    if metric is Metric.CHORDAL:
-        B = as_blocks(G.entries, K, N)
-        mags = np.sqrt(np.sum(np.abs(B) ** 2, axis=(2, 3)))
-        return float(np.max(mags[off]))
-    if metric in (Metric.SPECTRAL, Metric.FUBINI_STUDY):
-        return float(np.max(cosine_magnitudes(block_cosines(G), metric)))
-    if metric is Metric.SPHERE:
-        if K != 1:
-            raise InvalidInput("sphere magnitude requires K = 1")
-        vals = np.real(G.entries[off])
-        return float(np.max(vals))
-    raise InvalidInput(f"no block magnitude defined for metric {metric}")
+    """Largest off-diagonal block magnitude, measured per metric (see
+    :func:`_split_blocks`)."""
+    return float(np.max(_split_blocks(G.entries, metric, G.K, G.N)[1]))
 
 
 def min_angle(mu: float, metric: Metric) -> float:

@@ -158,6 +158,8 @@ class ReferenceTable:
                     value = float(parts[3])
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}:{lineno}: value {parts[3]!r} is not finite")
                 unit = parts[4]
                 if unit not in _UNITS:
                     raise ParseError(f"{path}:{lineno}: unknown unit {unit!r}")
@@ -284,6 +286,14 @@ def _effective_workers(requested: int) -> int:
     return workers
 
 
+def _mu_values(spec: ExperimentSpec, K: int, mu_base: float) -> list:
+    """The mu values a cell is solved at: mu_base, or its sweep."""
+    if spec.sweep is None:
+        return [mu_base]
+    lo, hi, steps = spec.sweep
+    return [min(mu_base * f, _mu_cap(spec.metric, K)) for f in np.linspace(lo, hi, int(steps))]
+
+
 def _solve_cell(spec: ExperimentSpec, d: int, K: int, N: int, mu_base: float, workers: int):
     """Solve reports (None where a trial failed) over the cell's trials and sweep.
 
@@ -291,16 +301,10 @@ def _solve_cell(spec: ExperimentSpec, d: int, K: int, N: int, mu_base: float, wo
     a pool of workers maps over the same stacks, so the reports do not
     depend on the worker count.
     """
-    if spec.sweep is not None:
-        lo, hi, steps = spec.sweep
-        factors = np.linspace(lo, hi, int(steps))
-        mu_values = [min(mu_base * f, _mu_cap(spec.metric, K)) for f in factors]
-    else:
-        mu_values = [mu_base]
     size = _stack_trials(spec.metric, K, N)
     chunks = [
         (mu, range(s * spec.trials + k, s * spec.trials + min(k + size, spec.trials)))
-        for s, mu in enumerate(mu_values)
+        for s, mu in enumerate(_mu_values(spec, K, mu_base))
         for k in range(0, spec.trials, size)
     ]
     if workers > 1:
@@ -328,8 +332,13 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     )
     rows = []
     workers = _effective_workers(spec.workers)
-    # Every cell's mu first, so a bad reference or bound fails before any trial.
+    # Every cell's mu values and solve parameters first, so a bad reference,
+    # bound or swept mu fails before any trial.
     mus = [_derive_mu(spec, ref, d, K, N) for d, K, N in cells]
+    for (d, K, N), mu_base in zip(cells, mus):
+        if mu_base is not None:
+            for mu in _mu_values(spec, K, mu_base):
+                _solve_params(spec, d, K, N, mu)
     for (d, K, N), mu_base in zip(cells, mus):
         if mu_base is None:
             reports = [None] * spec.trials  # no reference row: every trial failed

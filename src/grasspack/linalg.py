@@ -4,6 +4,8 @@ Every factorization here reconstructs its input to high relative accuracy,
 eigenvalues are always returned sorted nonincreasing, and inputs are
 checked for finiteness at the boundary.  Downstream code must never depend
 on eigenvector phases or signs, only on spectral projectors.
+``GramMatrix`` owns the Hermitian invariant; ``hermitian_eig`` trusts its
+caller to pass a Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -24,23 +26,23 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     """Return (A + A*) / 2, exactly Hermitian in floating point.
 
     Acts on the last two axes, so a (..., n, n) stack is symmetrized matrix
-    by matrix.
+    by matrix.  The result is always C-contiguous, so reductions over it add
+    in one order at every size and stack depth.
     """
-    return (A + np.swapaxes(A, -1, -2).conj()) / 2
+    return np.add(A, np.swapaxes(A, -1, -2).conj(), order="C") / 2
 
 
 def hermitian_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition A = U diag(w) U* of a Hermitian matrix, as (w, U).
 
-    The input is symmetrized as (A + A*)/2 first, since iterates of the
-    alternating projection accumulate asymmetry at roundoff level.
-    Eigenvalues come back nonincreasing, paired column-for-column with an
-    orthonormal eigenvector matrix.  A (..., n, n) stack is decomposed
-    matrix by matrix, each exactly as it would be alone.
+    A must be Hermitian; only its lower triangle is read.  Eigenvalues come
+    back nonincreasing, paired column-for-column with an orthonormal
+    eigenvector matrix.  A (..., n, n) stack is decomposed matrix by matrix,
+    each exactly as it would be alone.
     """
     A = np.asarray(A)
     _require_finite(A)
-    w, U = np.linalg.eigh(symmetrize(A))
+    w, U = np.linalg.eigh(A)
     # LAPACK returns ascending order; flip to nonincreasing.
     return w[..., ::-1].copy(), U[..., ::-1].copy()
 

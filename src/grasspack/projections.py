@@ -8,11 +8,16 @@ fixed trace; its projection keeps the top d eigenpairs and shifts their
 eigenvalues by the closed-form projection onto a scaled simplex.
 Alternating between the two is the solver's engine.
 
-The public projections take and return ``GramMatrix`` objects.  Their
-kernels (``_split_blocks``, ``_cap_blocks``, ``_spectral_stack``) work on
-plain arrays of shape (KN, KN) or (T, KN, KN); a stack is projected matrix
-by matrix, every matrix bit-identically to how it would be projected alone,
-which lets the solver run T trials as one stack.
+The public projections take and return ``GramMatrix`` objects, which own
+the Hermitian invariant: their entries are checked and symmetrized once, on
+construction.  The kernels (``geometry._split_blocks``, ``_cap_blocks``,
+``_spectral_stack``) work on plain arrays of shape (KN, KN) or (T, KN, KN)
+and check nothing; each returns an exactly Hermitian matrix given one.
+``_cap_blocks`` mirrors every capped upper block onto its conjugate
+transpose, so it is Hermitian by construction, and ``_spectral_stack``
+symmetrizes V diag(w) V*, which is Hermitian only up to roundoff.  A stack
+is projected matrix by matrix, every matrix bit-identically to how it would
+be projected alone, which lets the solver run T trials as one stack.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .geometry import (
     Field,
     GramMatrix,
     Metric,
+    _split_blocks,
     as_blocks,
-    cosine_magnitudes,
     upper_block_indices,
 )
 from .linalg import hermitian_eig, symmetrize
@@ -238,29 +243,8 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     return np.log(y).reshape(c.shape)
 
 
-def _split_blocks(A: np.ndarray, metric: Metric, K: int, N: int) -> tuple:
-    """Upper off-diagonal blocks of a Hermitian matrix or (..., KN, KN) stack,
-    with the magnitudes and SVD the structural projection works from.
-
-    Returns ``(blocks, mags, U, s, Vh)``: blocks of shape (..., P, K, K) for
-    the P pairs m < n, their magnitudes (..., P), and their SVD, which is
-    None for the chordal and sphere metrics.  The input must be exactly
-    Hermitian, so the lower blocks carry nothing the upper ones do not.
-    """
-    iu, ju = upper_block_indices(N)
-    blocks = as_blocks(A, K, N)[..., iu, ju, :, :]
-    if metric is Metric.CHORDAL:
-        return blocks, np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(-2, -1))), None, None, None
-    if metric is Metric.SPHERE:
-        if np.iscomplexobj(blocks):
-            raise InvalidInput("sphere constraint set is defined for real matrices")
-        return blocks, blocks[..., 0, 0], None, None, None
-    U, s, Vh = np.linalg.svd(blocks)
-    return blocks, cosine_magnitudes(s, metric), U, s, Vh
-
-
 def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndarray:
-    """Structural projection of A from its :func:`_split_blocks` parts.
+    """Structural projection of A from its :func:`geometry._split_blocks` parts.
 
     Returns a new matrix: A's upper blocks capped at mu, their conjugate
     transposes below the diagonal, and identity diagonal blocks.  Blocks
@@ -312,8 +296,7 @@ def project_structural(G: GramMatrix, spec: StructuralSetSpec) -> GramMatrix:
         raise InvalidInput(
             f"gram has block structure K={G.K}, N={G.N}; spec expects K={spec.K}, N={spec.N}"
         )
-    A = symmetrize(G.entries)
-    H = _cap_blocks(A, spec, _split_blocks(A, spec.metric, spec.K, spec.N))
+    H = _cap_blocks(G.entries, spec, _split_blocks(G.entries, spec.metric, spec.K, spec.N))
     return GramMatrix(field=G.field, K=spec.K, N=spec.N, entries=H)
 
 
@@ -352,13 +335,13 @@ def project_spectral(H, spec: SpectralSetSpec) -> GramMatrix:
     eigenvectors and shifts their eigenvalues by a scalar gamma, flooring at
     zero, where gamma solves sum((lambda_j - gamma)_+) = trace_target.  The
     shift is the closed-form simplex projection of :func:`_water_fill`.
+
+    ``H`` is a ``GramMatrix`` or a square array; an array is read as a
+    K = 1 Gram matrix, so it must be finite and Hermitian within the
+    ``GramMatrix`` tolerance.
     """
-    if isinstance(H, GramMatrix):
-        entries, field, K, N = H.entries, H.field, H.K, H.N
-    else:
-        entries = np.asarray(H)
-        field = Field.COMPLEX if np.iscomplexobj(entries) else Field.REAL
-        K, N = 1, entries.shape[0]
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {entries.shape}")
-    return GramMatrix(field=field, K=K, N=N, entries=_spectral_stack(entries, spec))
+    if not isinstance(H, GramMatrix):
+        A = np.asarray(H)
+        field = Field.COMPLEX if np.iscomplexobj(A) else Field.REAL
+        H = GramMatrix(field=field, K=1, N=A.shape[0] if A.ndim else 0, entries=A)
+    return GramMatrix(field=H.field, K=H.K, N=H.N, entries=_spectral_stack(H.entries, spec))

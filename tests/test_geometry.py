@@ -25,6 +25,7 @@ from tests.oracles import (
     brute_force_block_magnitude,
     brute_force_diameter,
     random_configuration,
+    random_hermitian,
 )
 
 
@@ -137,6 +138,20 @@ def test_packing_diameter_matches_brute_force():
 def test_packing_diameter_requires_two():
     with pytest.raises(InvalidInput):
         Configuration(field=Field.REAL, blocks=np.eye(3)[:, :1].reshape(1, 3, 1))
+
+
+def test_gram_matrix_stores_exactly_hermitian_entries():
+    rng = np.random.default_rng(6)
+    for field in (Field.REAL, Field.COMPLEX):
+        A = random_hermitian(6, field, rng)
+        A[0, 3] += 1e-12
+        A[2, 2] += 1e-12j if field is Field.COMPLEX else 0.0
+        g = GramMatrix(field=field, K=2, N=3, entries=A)
+        assert np.array_equal(g.entries, g.entries.conj().T)
+        assert np.max(np.abs(g.entries - A)) <= 1e-12
+        A[0, 3] += 1e-6
+        with pytest.raises(InvalidInput):
+            GramMatrix(field=field, K=2, N=3, entries=A)
 
 
 def test_gram_identity_for_axes():

@@ -63,6 +63,14 @@ def test_reference_table_bad_unit(tmp_path):
         ReferenceTable.load(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_reference_table_rejects_non_finite_value(tmp_path, value):
+    path = tmp_path / "refs.csv"
+    path.write_text(f"3,1,4,70.5,degrees\n3,1,5,{value},degrees\n")
+    with pytest.raises(ParseError, match=r"refs\.csv:2: "):
+        ReferenceTable.load(path)
+
+
 def test_run_experiment_small_projective():
     spec = ExperimentSpec(
         space="projective", field=Field.REAL, metric=Metric.CHORDAL,
@@ -220,6 +228,25 @@ def test_reference_unit_mismatch_fails_before_any_trial(monkeypatch, tmp_path):
     with pytest.raises(InvalidInput):
         run_experiment(spec)
     assert trials == []
+
+
+def test_out_of_range_mu_fails_before_any_chunk(monkeypatch, tmp_path):
+    path = tmp_path / "refs.csv"
+    # 120 degrees is mu = cos(120 deg) = -0.5, below the chordal range [0, 1].
+    path.write_text("3,1,4,70.529,degrees\n3,1,5,120,degrees\n")
+    lines = _grassmann_lines(N_values=(4, 5), mu_source="reference_file", reference_path=str(path))
+    # A sphere sweep from mu = -0.6 reaches -1.2, below [-1, 1], at its last factor.
+    sphere = ExperimentSpec(
+        space="sphere", field=Field.REAL, metric=Metric.SPHERE,
+        d_values=(3,), N_values=(5,), trials=2, mu_source="explicit",
+        mu_explicit=-0.6, sweep=(1.0, 2.0, 3), max_iterations=10,
+    )
+    chunks = []
+    monkeypatch.setattr(harness, "_run_chunk", lambda *args: chunks.append(args) or [])
+    for spec in (lines, sphere):
+        with pytest.raises(InvalidInput):
+            run_experiment(spec)
+    assert chunks == []
 
 
 def test_compare_reference_exact_and_subtraction():

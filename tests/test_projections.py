@@ -335,6 +335,19 @@ def test_spectral_hand_solved():
     assert np.allclose(out.entries, np.diag([2.0, 0.0]), atol=1e-10)
 
 
+def test_spectral_raw_array_must_be_hermitian():
+    spec = SpectralSetSpec(d=1, trace_target=2.0)
+    H = np.diag([3.0, 1.0])
+    H[0, 1] = 1e-12  # within tolerance: projected as its Hermitian part
+    want = project_spectral(np.array([[3.0, 5e-13], [5e-13, 1.0]]), spec).entries
+    assert np.array_equal(project_spectral(H, spec).entries, want)
+    H[0, 1] = 1e-6
+    with pytest.raises(InvalidInput):
+        project_spectral(H, spec)
+    with pytest.raises(InvalidInput):
+        project_spectral(np.ones((2, 3)), spec)
+
+
 def test_spectral_fixed_point():
     out = project_spectral(np.eye(2), SpectralSetSpec(d=2, trace_target=2.0))
     assert np.allclose(out.entries, np.eye(2), atol=1e-10)

@@ -162,16 +162,23 @@ def assert_same_report(a, b):
     assert a.final_diameter == b.final_diameter
 
 
-def _kn48_mu():
-    # Below the chordal bound of 24 planes in C^8, so trials stop at
+def _below_bound_mu(N, fraction):
+    # Below the chordal bound of N planes in C^8, so trials stop at
     # different iterations instead of all running to the cap.
-    bound = rankin_chordal(8, 2, 24, Field.COMPLEX).bound_value
-    return mu_from_rho(math.sqrt(0.7 * bound), Metric.CHORDAL, 2)
+    bound = rankin_chordal(8, 2, N, Field.COMPLEX).bound_value
+    return mu_from_rho(math.sqrt(fraction * bound), Metric.CHORDAL, 2)
 
 
 STACK_CASES = {
     "real_chordal_lines": (Metric.CHORDAL, Field.REAL, 3, 1, 7, math.cos(math.radians(54.5)), 300),
-    "complex_chordal_kn48": (Metric.CHORDAL, Field.COMPLEX, 8, 2, 24, _kn48_mu(), 150),
+    "complex_chordal_kn48": (
+        Metric.CHORDAL, Field.COMPLEX, 8, 2, 24, _below_bound_mu(24, 0.7), 150,
+    ),
+    # At this size numpy lays out a complex sum differently for one matrix
+    # and for a stack, so this case checks that no result depends on layout.
+    "complex_chordal_kn96": (
+        Metric.CHORDAL, Field.COMPLEX, 8, 2, 48, _below_bound_mu(48, 0.55), 150,
+    ),
     "complex_spectral": (Metric.SPECTRAL, Field.COMPLEX, 4, 2, 5, 0.75, 300),
     "complex_fubini_study": (
         Metric.FUBINI_STUDY, Field.COMPLEX, 4, 2, 4, math.cos(0.9995 * math.pi / 2), 100,
