@@ -287,11 +287,19 @@ def _effective_workers(requested: int) -> int:
 
 
 def _mu_values(spec: ExperimentSpec, K: int, mu_base: float) -> list:
-    """The mu values a cell is solved at: mu_base, or its sweep."""
+    """The mu values a cell is solved at: mu_base, or its sweep.
+
+    A sweep factor f relaxes the cap to mu_base + (f - 1) |mu_base|, which is
+    mu_base * f when mu_base >= 0, capped at the metric's largest mu.
+    """
     if spec.sweep is None:
         return [mu_base]
     lo, hi, steps = spec.sweep
-    return [min(mu_base * f, _mu_cap(spec.metric, K)) for f in np.linspace(lo, hi, int(steps))]
+    relaxed = [
+        mu_base * f if mu_base >= 0 else mu_base + (f - 1) * abs(mu_base)
+        for f in np.linspace(lo, hi, int(steps))
+    ]
+    return [min(mu, _mu_cap(spec.metric, K)) for mu in relaxed]
 
 
 def _solve_cell(spec: ExperimentSpec, d: int, K: int, N: int, mu_base: float, workers: int):

@@ -18,6 +18,17 @@ transpose, so it is Hermitian by construction, and ``_spectral_stack``
 symmetrizes V diag(w) V*, which is Hermitian only up to roundoff.  A stack
 is projected matrix by matrix, every matrix bit-identically to how it would
 be projected alone, which lets the solver run T trials as one stack.
+
+For KN >= ``_WARM_MIN_KN`` the solver hands ``_spectral_stack`` the previous
+iterate's top-d eigenbasis, a warm basis that is refined by subspace
+iteration with Rayleigh-Ritz (Saad, "Numerical Methods for Large Eigenvalue
+Problems") instead of decomposing the full matrix.  A warm result is
+accepted only under a certificate: its residual must be below 1e-12 times
+a lower bound on the gap between the d-th and (d+1)-th eigenvalues, which
+by Davis-Kahan keeps the subspace within 1e-12 of the exact one.  When the
+certificate is not met within ``_WARM_STEPS`` steps the full decomposition
+(``hermitian_eig``) takes over, so only its cold starts and fallbacks reach
+it.  ``project_spectral`` always decomposes in full.
 """
 
 from __future__ import annotations
@@ -318,14 +329,86 @@ def _water_fill(lam: np.ndarray, target: float) -> np.ndarray:
     return np.maximum(lam - gamma, 0.0)
 
 
-def _spectral_stack(H: np.ndarray, spec: SpectralSetSpec) -> np.ndarray:
-    """Spectral projection of a Hermitian matrix or (..., n, n) stack, as
-    plain arrays; each matrix is projected exactly as it would be alone."""
+# The spectral projection of an n-by-n iterate with n >= _WARM_MIN_KN refines
+# the previous iterate's top eigenbasis instead of decomposing the full
+# matrix; below it a full eigh costs less than a few subspace steps.
+_WARM_MIN_KN = 96
+_WARM_STEPS = 20
+_WARM_TOL = 1e-12
+
+
+def _warm_top(H: np.ndarray, V: np.ndarray):
+    """Top eigenpairs of a (T, n, n) Hermitian stack refined from the
+    orthonormal (T, n, r) bases ``V``, as (Ritz values, Ritz vectors).
+
+    Each trial runs unshifted subspace iteration with Rayleigh-Ritz: Q =
+    qr(H X), the r-by-r eigendecomposition Q* H Q = W diag(theta) W*, and X
+    = Q W.  It is accepted once ||H X - X diag(theta)||_F <= _WARM_TOL *
+    delta with delta = theta_r - sqrt(max(||H||_F^2 - sum(theta^2), 0)) > 0:
+    the square root bounds lambda_{r+1}(H) from above (Weyl, as it is
+    ||H - X diag(theta) X*||_F), so delta bounds the gap from below and
+    Davis-Kahan puts X within _WARM_TOL of the top-r eigenspace, whatever
+    the signs of the other eigenvalues.  A trial not accepted within
+    _WARM_STEPS steps, or every unaccepted one when a decomposition raises
+    ``LinAlgError``, takes the full path, :func:`_full_top`.  Each trial's
+    result does not depend on the rest of the stack.
+    """
+    r = V.shape[-1]
+    lam = np.empty((len(H), r))
+    basis = np.empty_like(V)
+    todo = np.arange(len(H))
+    Hs, HX = H, H @ V
+    sq_norm = np.linalg.norm(H, axis=(-2, -1)) ** 2
+    try:
+        for _ in range(_WARM_STEPS):
+            Q = np.linalg.qr(HX)[0]
+            HQ = Hs @ Q
+            # eigh reads only the lower triangle of Q* H Q, Hermitian up to roundoff.
+            theta, W = np.linalg.eigh(np.swapaxes(Q, -1, -2).conj() @ HQ)
+            theta, W = theta[..., ::-1], W[..., ::-1]
+            X, HX = Q @ W, HQ @ W
+            residual = np.linalg.norm(HX - X * theta[..., None, :], axis=(-2, -1))
+            tail = np.sqrt(np.maximum(sq_norm[todo] - np.sum(theta**2, axis=-1), 0.0))
+            delta = theta[..., -1] - tail
+            ok = (delta > 0.0) & (residual <= _WARM_TOL * delta)
+            if np.any(ok):
+                lam[todo[ok]], basis[todo[ok]] = theta[ok], X[ok]
+                todo, Hs, HX = todo[~ok], Hs[~ok], HX[~ok]
+                if not todo.size:
+                    return lam, basis
+    except np.linalg.LinAlgError:
+        pass
+    lam[todo], basis[todo] = _full_top(H[todo], r)
+    return lam, basis
+
+
+def _full_top(H: np.ndarray, r: int):
+    """Top r eigenpairs of a Hermitian matrix or stack, from its full
+    decomposition: (eigenvalues, eigenvectors)."""
     lam, U = hermitian_eig(H)
-    r = min(spec.d, H.shape[-1])
-    V = U[..., :r]
-    w = _water_fill(lam[..., :r], spec.trace_target)
-    return symmetrize((V * w[..., None, :]) @ np.swapaxes(V, -1, -2).conj())
+    return lam[..., :r], U[..., :r]
+
+
+def _spectral_stack(H: np.ndarray, spec: SpectralSetSpec, V: np.ndarray | None = None):
+    """Spectral projection of a Hermitian matrix or (T, n, n) stack, as plain
+    arrays: (projection, its top-d eigenbases).
+
+    For n >= _WARM_MIN_KN the eigenbases come from :func:`_warm_top`, warm
+    started from ``V`` (the bases this function returned for the previous
+    iterate), and are returned as contiguous (T, n, d) arrays, so a lone
+    trial and a pruned stack multiply the same memory layout; with no
+    ``V`` the stack is decomposed in full.  Below _WARM_MIN_KN the stack is
+    always decomposed in full and the returned bases are None.  Each matrix
+    is projected exactly as it would be alone.
+    """
+    warm = H.shape[-1] >= _WARM_MIN_KN
+    if warm and V is not None:
+        lam, V = _warm_top(H, V)
+    else:
+        lam, V = _full_top(H, min(spec.d, H.shape[-1]))
+    w = _water_fill(lam, spec.trace_target)
+    P = symmetrize((V * w[..., None, :]) @ np.swapaxes(V, -1, -2).conj())
+    return P, np.ascontiguousarray(V) if warm else None
 
 
 def project_spectral(H, spec: SpectralSetSpec) -> GramMatrix:
@@ -344,4 +427,4 @@ def project_spectral(H, spec: SpectralSetSpec) -> GramMatrix:
         A = np.asarray(H)
         field = Field.COMPLEX if np.iscomplexobj(A) else Field.REAL
         H = GramMatrix(field=field, K=1, N=A.shape[0] if A.ndim else 0, entries=A)
-    return GramMatrix(field=H.field, K=H.K, N=H.N, entries=_spectral_stack(H.entries, spec))
+    return GramMatrix(field=H.field, K=H.K, N=H.N, entries=_spectral_stack(H.entries, spec)[0])

@@ -10,15 +10,20 @@ convergence diagnostic.
 Independent trials of one shape run as a stack (``_alternate_stack``): the
 iterates are one (T, KN, KN) array, and each iteration makes one block
 decomposition, which serves both the stop check and the structural
-projection, and one stacked eigendecomposition, whose eigenvalues get the
-closed-form trace shift.  A trial that meets the cap leaves the stack; a
-trial whose step fails fails alone.  Each trial's report is bit-identical to
-solving it alone, and ``alternate`` is the one-trial call.  Validation runs
-at the boundary: starts are ``GramMatrix`` entries, and each final matrix
-becomes a ``GramMatrix`` again.  Inside the loop the iterates stay exactly
-Hermitian by construction (see ``projections``) and are not re-checked; a
-trial fails when its gap is not finite, as it is exactly when its
-structural iterate is not.
+projection, and one spectral projection, whose top eigenvalues get the
+closed-form trace shift.  At KN >= ``projections._WARM_MIN_KN`` each trial
+also carries its iterate's top-d eigenbasis (a (T, KN, d) stack pruned and
+redone with the iterates): the first iteration decomposes each iterate in
+full, and later ones refine the carried basis by certified subspace
+iteration, falling back to the full decomposition for any trial whose
+certificate fails (see ``projections``).  A trial that meets the cap leaves
+the stack; a trial whose step fails fails alone.  Each trial's report is
+bit-identical to solving it alone, and ``alternate`` is the one-trial call.
+Validation runs at the boundary: starts are ``GramMatrix`` entries, and each
+final matrix becomes a ``GramMatrix`` again.  Inside the loop the iterates
+stay exactly Hermitian by construction (see ``projections``) and are not
+re-checked; a trial fails when its gap is not finite, as it is exactly when
+its structural iterate is not.
 """
 
 from __future__ import annotations
@@ -137,15 +142,16 @@ def _stack_trials(metric: Metric, K: int, N: int) -> int:
     return max(1, _STACK_ELEMENTS // per_trial)
 
 
-def _step(G, parts, struct: StructuralSetSpec, spectral: SpectralSetSpec):
+def _step(G, parts, V, struct: StructuralSetSpec, spectral: SpectralSetSpec):
     """Structural then spectral projection of a live stack, from the
-    structural pass's parts: (gap per trial, next iterates)."""
+    structural pass's parts and the previous top eigenbases ``V``:
+    (gap per trial, next iterates, their top eigenbases)."""
     H = _cap_blocks(G, struct, parts)
     gaps = np.linalg.norm(G - H, axis=(-2, -1))
     if not np.all(np.isfinite(gaps)):
         raise NumericalFailure("structural projection gave a non-finite iterate")
     try:
-        return gaps, _spectral_stack(H, spectral)
+        return (gaps, *_spectral_stack(H, spectral, V))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition of an iterate failed: {exc}") from exc
 
@@ -190,6 +196,7 @@ def _alternate_stack(G0s: np.ndarray, params: SolveParams) -> list:
     gaps: list = [[] for _ in range(T)]
     live = np.arange(T)
     G = np.asarray(G0s)
+    V = None  # top eigenbases of the live iterates, when the spectral step keeps them
     for it in range(params.max_iterations):
         parts = _split_blocks(G, params.metric, params.K, params.N)
         done = np.max(parts[1], axis=-1) <= limit
@@ -200,24 +207,27 @@ def _alternate_stack(G0s: np.ndarray, params: SolveParams) -> list:
             keep = ~done
             live, G = live[keep], G[keep]
             parts = tuple(None if x is None else x[keep] for x in parts)
+            V = None if V is None else V[keep]
             if not live.size:
                 break
         try:
-            step_gaps, G = _step(G, parts, struct, spectral)
+            step_gaps, G, V = _step(G, parts, V, struct, spectral)
         except NumericalFailure:
             solved = []
             for a, t in enumerate(live):
                 one = tuple(None if x is None else x[a : a + 1] for x in parts)
+                Va = None if V is None else V[a : a + 1]
                 try:
-                    solved.append((t, *_step(G[a : a + 1], one, struct, spectral)))
+                    solved.append((t, *_step(G[a : a + 1], one, Va, struct, spectral)))
                 except NumericalFailure as exc:
                     outcome[t] = exc
             if not solved:
                 live = live[:0]
                 break
-            live = np.array([t for t, _, _ in solved])
-            step_gaps = np.concatenate([g for _, g, _ in solved])
-            G = np.concatenate([Gn for _, _, Gn in solved])
+            live = np.array([t for t, _, _, _ in solved])
+            step_gaps = np.concatenate([g for _, g, _, _ in solved])
+            G = np.concatenate([Gn for _, _, Gn, _ in solved])
+            V = None if solved[0][3] is None else np.concatenate([Vn for _, _, _, Vn in solved])
         for t, gap in zip(live.tolist(), step_gaps.tolist()):
             gaps[t].append(gap)
     for a, t in enumerate(live):

@@ -230,17 +230,43 @@ def test_reference_unit_mismatch_fails_before_any_trial(monkeypatch, tmp_path):
     assert trials == []
 
 
+def _sphere_sweep(**kw):
+    base = dict(
+        space="sphere", field=Field.REAL, metric=Metric.SPHERE,
+        d_values=(3,), N_values=(5,), trials=2, mu_source="explicit",
+        mu_explicit=-0.6, sweep=(1.0, 2.0, 3), max_iterations=10,
+    )
+    base.update(kw)
+    return ExperimentSpec(**base)
+
+
+@pytest.mark.parametrize(
+    "sweep, want", [((1.0, 2.0, 3), [-0.6, -0.3, 0.0]), ((1.0, 3.0, 3), [-0.6, 0.0, 0.6])]
+)
+def test_sphere_sweep_relaxes_negative_mu(monkeypatch, sweep, want):
+    solved = []
+    run_chunk = harness._run_chunk
+
+    def record(spec, d, K, N, mu, indices):
+        solved.append(mu)
+        return run_chunk(spec, d, K, N, mu, indices)
+
+    monkeypatch.setattr(harness, "_run_chunk", record)
+    (row,) = run_experiment(_sphere_sweep(sweep=sweep))
+    assert solved == pytest.approx(want, abs=1e-15)
+    assert math.isfinite(row.best_diameter)
+    # A nonnegative mu is still scaled by the factors.
+    spec = _sphere_sweep(mu_explicit=0.25, sweep=(1.0, 2.0, 3))
+    assert harness._mu_values(spec, 1, 0.25) == [0.25 * f for f in (1.0, 1.5, 2.0)]
+
+
 def test_out_of_range_mu_fails_before_any_chunk(monkeypatch, tmp_path):
     path = tmp_path / "refs.csv"
     # 120 degrees is mu = cos(120 deg) = -0.5, below the chordal range [0, 1].
     path.write_text("3,1,4,70.529,degrees\n3,1,5,120,degrees\n")
     lines = _grassmann_lines(N_values=(4, 5), mu_source="reference_file", reference_path=str(path))
-    # A sphere sweep from mu = -0.6 reaches -1.2, below [-1, 1], at its last factor.
-    sphere = ExperimentSpec(
-        space="sphere", field=Field.REAL, metric=Metric.SPHERE,
-        d_values=(3,), N_values=(5,), trials=2, mu_source="explicit",
-        mu_explicit=-0.6, sweep=(1.0, 2.0, 3), max_iterations=10,
-    )
+    # The sweep relaxes mu = -1.2 into range, but its first value is below [-1, 1].
+    sphere = _sphere_sweep(mu_explicit=-1.2)
     chunks = []
     monkeypatch.setattr(harness, "_run_chunk", lambda *args: chunks.append(args) or [])
     for spec in (lines, sphere):

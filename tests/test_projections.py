@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import grasspack.projections as projections
 from grasspack.errors import InvalidInput
 from grasspack.geometry import Field, GramMatrix, Metric, as_blocks, from_blocks
+from grasspack.linalg import symmetrize
 from grasspack.projections import (
     SpectralSetSpec,
     StructuralSetSpec,
+    _spectral_stack,
     _water_fill,
     project_spectral,
     project_structural,
     solve_fs_block,
 )
+from grasspack.starts import gaussian_matrix
 
 from tests.oracles import (
     fs_block_oracle_k2,
@@ -442,3 +446,95 @@ def test_spectral_rank_cap_at_or_above_dimension_vs_bisection(field):
         w, U = np.linalg.eigh(H)
         w_ref = _shift_by_bisection(w[::-1], float(n))[::-1]
         assert np.linalg.norm(out.entries - (U * w_ref) @ U.conj().T) <= 1e-12 * n
+
+
+# --- warm-started spectral projection ---------------------------------------
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts the full decompositions the spectral projection makes."""
+    calls = []
+    full = projections.hermitian_eig
+    monkeypatch.setattr(projections, "hermitian_eig", lambda A: calls.append(len(A)) or full(A))
+    return calls
+
+
+def _near_rank_d(n, d, field, rng, top=(2.0, 4.0), rest=(-0.05, 0.05)):
+    """Hermitian U diag(lam) U* with d eigenvalues drawn from ``top`` and the
+    others from ``rest``, as (matrix, eigenvectors, eigenvalues)."""
+    U = np.linalg.qr(gaussian_matrix(n, n, field, rng))[0]
+    lam = rng.uniform(*rest, n)
+    lam[:d] = rng.uniform(*top, d)
+    return symmetrize((U * lam) @ U.conj().T), U, lam
+
+
+def _perturbed_basis(U, rng, eps=1e-3):
+    n, d = U.shape
+    field = Field.COMPLEX if np.iscomplexobj(U) else Field.REAL
+    return np.linalg.qr(U + eps * gaussian_matrix(n, d, field, rng))[0]
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_warm_spectral_matches_full(field, eig_calls):
+    rng = np.random.default_rng(31)
+    # (n, d, lam_min): |lam_min| below lam_d is certified warm; above it the
+    # certificate's gap bound is negative, so the full path must take over.
+    for n, d, lam_min in [(96, 8, None), (120, 5, None), (100, 8, -0.5), (96, 8, -5.0)]:
+        H, U, lam = _near_rank_d(n, d, field, rng)
+        if lam_min is not None:
+            lam[-1] = lam_min
+            H = symmetrize((U * lam) @ U.conj().T)
+            assert (abs(lam_min) > np.sort(lam)[-d]) == (lam_min == -5.0)
+        spec = SpectralSetSpec(d=d, trace_target=float(n))
+        eig_calls.clear()
+        P, V = _spectral_stack(H[None], spec, _perturbed_basis(U[:, :d], rng)[None])
+        assert eig_calls == ([1] if lam_min == -5.0 else [])
+        P_full, _ = _spectral_stack(H[None], spec)
+        assert np.max(np.abs(P - P_full)) <= 1e-10
+        assert np.allclose(np.swapaxes(V, -1, -2).conj() @ V, np.eye(d), atol=1e-12)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_warm_spectral_falls_back_bit_identically(field, eig_calls):
+    rng = np.random.default_rng(32)
+    n, d = 96, 6
+    spec = SpectralSetSpec(d=d, trace_target=float(n))
+    # A start orthogonal to the top subspace: roundoff alone would need far
+    # more than the step budget to turn it.
+    H_far, U, _ = _near_rank_d(n, d, field, rng, top=(3.0, 4.0), rest=(-1.0, 1.0))
+    V_far = U[:, d : 2 * d]
+    # lam_d = lam_{d+1}: no gap, so nothing can be certified.
+    H_tie, U, lam = _near_rank_d(n, d, field, rng)
+    lam[d - 1] = lam[d] = 3.0
+    H_tie = symmetrize((U * lam) @ U.conj().T)
+    V_tie = _perturbed_basis(U[:, :d], rng)
+    H_ok, U, _ = _near_rank_d(n, d, field, rng)
+    V_ok = _perturbed_basis(U[:, :d], rng)
+    for H, V in [(H_far, V_far), (H_tie, V_tie)]:
+        eig_calls.clear()
+        warm = _spectral_stack(H[None], spec, V[None])
+        assert eig_calls == [1]
+        full = _spectral_stack(H[None], spec)
+        assert all(np.array_equal(a, b) for a, b in zip(warm, full))
+    # In a stack, each trial is projected as it would be alone.
+    stack = _spectral_stack(np.stack([H_ok, H_tie, H_far]), spec, np.stack([V_ok, V_tie, V_far]))
+    for k, (H, V) in enumerate([(H_ok, V_ok), (H_tie, V_tie), (H_far, V_far)]):
+        alone = _spectral_stack(H[None], spec, V[None])
+        assert all(np.array_equal(a[k], b[0]) for a, b in zip(stack, alone))
+
+
+def test_warm_spectral_output_contracts(eig_calls):
+    rng = np.random.default_rng(33)
+    for i in range(100):
+        field = Field.COMPLEX if i % 2 else Field.REAL
+        n = int(rng.integers(96, 112))
+        d = int(rng.integers(2, 13))
+        H, U, _ = _near_rank_d(n, d, field, rng, rest=(-0.2, 0.2))
+        spec = SpectralSetSpec(d=d, trace_target=float(n))
+        (P,), _ = _spectral_stack(H[None], spec, _perturbed_basis(U[:, :d], rng)[None])
+        w = np.linalg.eigvalsh(P)
+        assert w[0] >= -1e-10
+        assert np.trace(P).real == pytest.approx(n, abs=1e-8 * n)
+        assert np.sum(w > 1e-8 * max(w[-1], 1.0)) <= d
+    assert eig_calls == []  # every output above came from the warm path

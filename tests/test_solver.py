@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import grasspack.projections as projections
 from grasspack.bounds import mu_from_rho, rankin_chordal, rankin_spectral
 from grasspack.errors import InvalidInput, SingularBlock
 from grasspack.geometry import Field, GramMatrix, Metric, gram
@@ -203,3 +204,27 @@ def test_stacked_trials_match_solo_solves(case):
     assert len({r.iterations_used for r in stacked}) > 1
     for G0, report in zip(starts, stacked):
         assert_same_report(report, alternate(G0, params))
+
+
+def test_kn96_stack_case_takes_warm_path():
+    metric, field, d, K, N, mu, cap = STACK_CASES["complex_chordal_kn96"]
+    assert K * N >= projections._WARM_MIN_KN
+
+
+def test_warm_spectral_solve_matches_full_solve(monkeypatch):
+    bound = rankin_chordal(8, 2, 96, Field.COMPLEX).bound_value
+    mu = mu_from_rho(math.sqrt(bound), Metric.CHORDAL, 2)
+    g0 = gram(initial_configuration(8, 2, 96, Field.COMPLEX, InitParams(tau=math.sqrt(2), seed=5)))
+    params = SolveParams(metric=Metric.CHORDAL, mu=mu, d=8, K=2, N=96, max_iterations=60)
+    calls = []
+    full_eig = projections.hermitian_eig
+    monkeypatch.setattr(projections, "hermitian_eig", lambda A: calls.append(1) or full_eig(A))
+    warm = alternate(g0, params)
+    # The cold start, and at most one fallback.
+    assert 1 <= len(calls) <= 2
+    monkeypatch.setattr(projections, "_WARM_MIN_KN", 10**9)
+    calls.clear()
+    full = alternate(g0, params)
+    assert len(calls) == full.iterations_used == warm.iterations_used == 60
+    assert np.allclose(warm.gap_history, full.gap_history, rtol=1e-9, atol=0)
+    assert warm.final_diameter == pytest.approx(full.final_diameter, rel=1e-9, abs=0)
