@@ -153,11 +153,11 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    sources = [s for s in ("mu_from_ref", "mu_from_bound", "mu_explicit")
-               if getattr(args, s)]
-    if len(sources) != 1:
+    # --mu 0 is a valid target, so an option counts as given when it is set.
+    given = (args.mu_from_ref is not None, args.mu_from_bound, args.mu_explicit is not None)
+    if sum(given) != 1:
         raise InvalidInput("choose exactly one of --mu-from-ref, --mu-from-bound, --mu")
-    if args.mu_from_ref:
+    if args.mu_from_ref is not None:
         mu_source, ref_path = "reference_file", args.mu_from_ref
     elif args.mu_from_bound:
         mu_source, ref_path = "rankin_bound", None

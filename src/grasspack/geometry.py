@@ -212,21 +212,57 @@ def cosine_magnitudes(c: np.ndarray, metric: Metric) -> np.ndarray:
     raise InvalidInput(f"no block magnitude from cosines for metric {metric}")
 
 
-def _split_blocks(A: np.ndarray, metric: Metric, K: int, N: int) -> tuple:
-    """Upper off-diagonal blocks of an exactly Hermitian matrix or
-    (..., KN, KN) stack, with their magnitudes and SVD.
+def _block_norm_grid(A: np.ndarray, K: int, N: int) -> np.ndarray:
+    """Frobenius norms of the K-by-K blocks of an exactly Hermitian matrix or
+    C-contiguous (..., KN, KN) stack, as an (..., N, N) grid.
 
-    Returns ``(blocks, mags, U, s, Vh)``: blocks of shape (..., P, K, K) for
-    the P pairs m < n, their magnitudes (..., P), and their SVD (None for
-    the chordal and sphere metrics).  Magnitudes are Frobenius norms
-    (chordal), 2-norms (spectral), absolute determinants (Fubini-Study), or
-    the raw signed entry (sphere, real K = 1 only, so like-signed
-    near-neighbors dominate).
+    The upper triangle holds the norms of the pairs m < n and the lower
+    triangle mirrors it; the diagonal is zero.  At K = 1 the grid is |A|,
+    already symmetric.  Otherwise the squared entries, complex ones read
+    through their real view, are added up by strided slices: elementwise
+    adds in one fixed order, so a matrix gets the same grid alone and in a
+    stack.
     """
+    if K == 1:
+        grid = np.abs(A)  # |conj(z)| = |z|, so already symmetric
+        idx = np.arange(N)
+        grid[..., idx, idx] = 0.0
+        return grid
+    F = A.view(np.float64) if np.iscomplexobj(A) else A
+    sq = F * F
+    rows = sq[..., 0::K, :]
+    for k in range(1, K):
+        rows = rows + sq[..., k::K, :]
+    width = F.shape[-1] // N  # real columns per block
+    grid = rows[..., 0::width] + rows[..., 1::width]
+    for k in range(2, width):
+        grid += rows[..., k::width]
+    np.sqrt(grid, out=grid)
+    # A lower block's squares add up in another order than its mirror's.
+    grid = np.triu(grid, 1)
+    grid += np.swapaxes(grid, -1, -2)
+    return grid
+
+
+def _split_blocks(A: np.ndarray, metric: Metric, K: int, N: int) -> tuple:
+    """Block magnitudes of an exactly Hermitian, C-contiguous matrix or
+    (..., KN, KN) stack, with the upper off-diagonal blocks and their SVD
+    where the metric needs them.
+
+    Returns ``(blocks, mags, U, s, Vh)``.  For the chordal metric only
+    ``mags`` is set: the (..., N, N) grid of block Frobenius norms from
+    :func:`_block_norm_grid`, symmetric with a zero diagonal.  Otherwise
+    ``blocks`` has shape (..., P, K, K) for the P pairs m < n and ``mags``
+    (..., P); ``U, s, Vh`` is their SVD (None for the sphere metric).
+    Magnitudes are Frobenius norms (chordal), 2-norms (spectral), absolute
+    determinants (Fubini-Study), or the raw signed entry (sphere, real
+    K = 1 only, so like-signed near-neighbors dominate).  Either way the
+    largest entry of ``mags`` is the largest upper-block magnitude.
+    """
+    if metric is Metric.CHORDAL:
+        return None, _block_norm_grid(A, K, N), None, None, None
     iu, ju = upper_block_indices(N)
     blocks = as_blocks(A, K, N)[..., iu, ju, :, :]
-    if metric is Metric.CHORDAL:
-        return blocks, np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(-2, -1))), None, None, None
     if metric is Metric.SPHERE:
         if K != 1 or np.iscomplexobj(blocks):
             raise InvalidInput("sphere magnitudes are defined for real matrices with K = 1")

@@ -13,9 +13,12 @@ the Hermitian invariant: their entries are checked and symmetrized once, on
 construction.  The kernels (``geometry._split_blocks``, ``_cap_blocks``,
 ``_spectral_stack``) work on plain arrays of shape (KN, KN) or (T, KN, KN)
 and check nothing; each returns an exactly Hermitian matrix given one.
-``_cap_blocks`` mirrors every capped upper block onto its conjugate
-transpose, so it is Hermitian by construction, and ``_spectral_stack``
-symmetrizes V diag(w) V*, which is Hermitian only up to roundoff.  A stack
+A chordal cap only rescales blocks: ``_cap_blocks`` multiplies the matrix by
+a symmetric grid of block scales, computed from the upper triangle of the
+grid of block norms and mirrored below it, so an exactly Hermitian input
+stays exactly Hermitian; the other metrics mirror every capped upper block
+onto its conjugate transpose.  ``_spectral_stack`` symmetrizes
+V diag(w) V*, which is Hermitian only up to roundoff.  A stack
 is projected matrix by matrix, every matrix bit-identically to how it would
 be projected alone, which lets the solver run T trials as one stack.
 
@@ -25,10 +28,12 @@ iteration with Rayleigh-Ritz (Saad, "Numerical Methods for Large Eigenvalue
 Problems") instead of decomposing the full matrix.  A warm result is
 accepted only under a certificate: its residual must be below 1e-12 times
 a lower bound on the gap between the d-th and (d+1)-th eigenvalues, which
-by Davis-Kahan keeps the subspace within 1e-12 of the exact one.  When the
-certificate is not met within ``_WARM_STEPS`` steps the full decomposition
-(``hermitian_eig``) takes over, so only its cold starts and fallbacks reach
-it.  ``project_spectral`` always decomposes in full.
+by Davis-Kahan keeps the subspace within 1e-12 of the exact one.  Each
+round makes two products with the iterate and one Rayleigh-Ritz solve.
+When the certificate is not met within ``_WARM_STEPS`` rounds (20 products
+after the first) the full decomposition (``hermitian_eig``) takes over, so
+only its cold starts and fallbacks reach it.  ``project_spectral`` always
+decomposes in full.
 """
 
 from __future__ import annotations
@@ -257,18 +262,27 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
 def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndarray:
     """Structural projection of A from its :func:`geometry._split_blocks` parts.
 
-    Returns a new matrix: A's upper blocks capped at mu, their conjugate
-    transposes below the diagonal, and identity diagonal blocks.  Blocks
-    already within the cap pass through bit-exactly.
+    Returns a new matrix: A's off-diagonal blocks capped at mu, Hermitian,
+    with identity diagonal blocks.  Blocks already within the cap pass
+    through bit-exactly.  A chordal block over the cap is only rescaled, so
+    the whole projection is one elementwise product of A with the symmetric
+    grid of block scales, expanded to K-by-K blocks; as A is exactly
+    Hermitian, so is the product.  The other metrics cap their upper blocks
+    and write each one's conjugate transpose below the diagonal.
     """
     blocks, mags, U, s, Vh = parts
     mu = spec.mu
+    K, N = spec.K, spec.N
     over = mags > mu
     if spec.metric is Metric.CHORDAL:
-        scale = np.ones_like(mags)
-        scale[over] = (mu / mags[over]) * (1.0 - _FEAS_SHRINK)
-        out = blocks * scale[..., None, None]
-    elif spec.metric is Metric.SPHERE:
+        scale = np.divide(mu, mags, out=np.ones_like(mags), where=over)
+        np.multiply(scale, 1.0 - _FEAS_SHRINK, out=scale, where=over)
+        expanded = scale[..., :, None, :, None]
+        H = (A.reshape(A.shape[:-2] + (N, K, N, K)) * expanded).reshape(A.shape)
+        idx = np.arange(N)
+        as_blocks(H, K, N)[..., idx, idx, :, :] = np.eye(K, dtype=H.dtype)
+        return H
+    if spec.metric is Metric.SPHERE:
         out = np.clip(blocks, -1.0, mu)
     else:
         out = blocks.copy()
@@ -286,12 +300,12 @@ def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndar
             out[over] = np.einsum("pik,pk,pkj->pij", U[over], s_new, Vh[over])
 
     H = np.empty_like(A)
-    B = as_blocks(H, spec.K, spec.N)
-    iu, ju = upper_block_indices(spec.N)
+    B = as_blocks(H, K, N)
+    iu, ju = upper_block_indices(N)
     B[..., iu, ju, :, :] = out
     B[..., ju, iu, :, :] = np.swapaxes(out, -1, -2).conj()
-    idx = np.arange(spec.N)
-    B[..., idx, idx, :, :] = np.eye(spec.K, dtype=H.dtype)
+    idx = np.arange(N)
+    B[..., idx, idx, :, :] = np.eye(K, dtype=H.dtype)
     return H
 
 
@@ -331,9 +345,10 @@ def _water_fill(lam: np.ndarray, target: float) -> np.ndarray:
 
 # The spectral projection of an n-by-n iterate with n >= _WARM_MIN_KN refines
 # the previous iterate's top eigenbasis instead of decomposing the full
-# matrix; below it a full eigh costs less than a few subspace steps.
+# matrix; below it a full eigh costs less than a few subspace steps.  A warm
+# solve makes at most 1 + 2 * _WARM_STEPS products with H before it falls back.
 _WARM_MIN_KN = 96
-_WARM_STEPS = 20
+_WARM_STEPS = 10
 _WARM_TOL = 1e-12
 
 
@@ -341,15 +356,19 @@ def _warm_top(H: np.ndarray, V: np.ndarray):
     """Top eigenpairs of a (T, n, n) Hermitian stack refined from the
     orthonormal (T, n, r) bases ``V``, as (Ritz values, Ritz vectors).
 
-    Each trial runs unshifted subspace iteration with Rayleigh-Ritz: Q =
-    qr(H X), the r-by-r eigendecomposition Q* H Q = W diag(theta) W*, and X
-    = Q W.  It is accepted once ||H X - X diag(theta)||_F <= _WARM_TOL *
+    Each trial runs unshifted subspace iteration with Rayleigh-Ritz, in
+    rounds of two products with H: Q = qr(H (H X)), the r-by-r
+    eigendecomposition Q* (H Q) = W diag(theta) W*, and X = Q W, whose H X
+    = (H Q) W costs no further product.  Orthonormalizing and solving the
+    small problem once per two products, not once per product, halves the
+    rounds, which cost more than the products at the sizes warm solves run.
+    A round's result is accepted once ||H X - X diag(theta)||_F <= _WARM_TOL *
     delta with delta = theta_r - sqrt(max(||H||_F^2 - sum(theta^2), 0)) > 0:
     the square root bounds lambda_{r+1}(H) from above (Weyl, as it is
     ||H - X diag(theta) X*||_F), so delta bounds the gap from below and
     Davis-Kahan puts X within _WARM_TOL of the top-r eigenspace, whatever
     the signs of the other eigenvalues.  A trial not accepted within
-    _WARM_STEPS steps, or every unaccepted one when a decomposition raises
+    _WARM_STEPS rounds, or every unaccepted one when a decomposition raises
     ``LinAlgError``, takes the full path, :func:`_full_top`.  Each trial's
     result does not depend on the rest of the stack.
     """
@@ -361,7 +380,7 @@ def _warm_top(H: np.ndarray, V: np.ndarray):
     sq_norm = np.linalg.norm(H, axis=(-2, -1)) ** 2
     try:
         for _ in range(_WARM_STEPS):
-            Q = np.linalg.qr(HX)[0]
+            Q = np.linalg.qr(Hs @ HX)[0]
             HQ = Hs @ Q
             # eigh reads only the lower triangle of Q* H Q, Hermitian up to roundoff.
             theta, W = np.linalg.eigh(np.swapaxes(Q, -1, -2).conj() @ HQ)

@@ -11,12 +11,15 @@ Independent trials of one shape run as a stack (``_alternate_stack``): the
 iterates are one (T, KN, KN) array, and each iteration makes one block
 decomposition, which serves both the stop check and the structural
 projection, and one spectral projection, whose top eigenvalues get the
-closed-form trace shift.  At KN >= ``projections._WARM_MIN_KN`` each trial
-also carries its iterate's top-d eigenbasis (a (T, KN, d) stack pruned and
-redone with the iterates): the first iteration decomposes each iterate in
-full, and later ones refine the carried basis by certified subspace
-iteration, falling back to the full decomposition for any trial whose
-certificate fails (see ``projections``).  A trial that meets the cap leaves
+closed-form trace shift.  Under the chordal metric that decomposition is
+just the grid of block norms, and the structural projection multiplies the
+iterate by a grid of block scales.  At KN >= ``projections._WARM_MIN_KN``
+each trial also carries its iterate's top-d eigenbasis (a (T, KN, d) stack
+pruned and redone with the iterates): the first iteration decomposes each
+iterate in full, and later ones refine the carried basis by certified
+subspace iteration, at most 21 products with the iterate, falling back to
+the full decomposition for any trial whose certificate fails (see
+``projections``).  A trial that meets the cap leaves
 the stack; a trial whose step fails fails alone.  Each trial's report is
 bit-identical to solving it alone, and ``alternate`` is the one-trial call.
 Validation runs at the boundary: starts are ``GramMatrix`` entries, and each
@@ -199,7 +202,7 @@ def _alternate_stack(G0s: np.ndarray, params: SolveParams) -> list:
     V = None  # top eigenbases of the live iterates, when the spectral step keeps them
     for it in range(params.max_iterations):
         parts = _split_blocks(G, params.metric, params.K, params.N)
-        done = np.max(parts[1], axis=-1) <= limit
+        done = np.max(parts[1].reshape(len(G), -1), axis=1) <= limit
         if np.any(done):
             for a in np.flatnonzero(done):
                 t = live[a]

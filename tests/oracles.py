@@ -155,3 +155,28 @@ def brute_force_block_magnitude(G, metric):
                 raise ValueError(metric)
             best = max(best, val)
     return best
+
+
+def gather_chordal_cap(A, mu, K, N, shrink):
+    """Reference chordal structural projection of a matrix or stack.
+
+    Gathers each upper block in a double loop, scales it by
+    (mu / ||block||_F) * (1 - shrink) when its norm exceeds mu, writes it and
+    its conjugate transpose back, and sets identity diagonal blocks.
+    """
+    A = np.asarray(A)
+    out = np.empty_like(A)
+    for t in np.ndindex(A.shape[:-2]):
+        B = as_blocks(A[t], K, N)
+        C = np.zeros_like(B)
+        for m in range(N):
+            C[m, m] = np.eye(K)
+            for n in range(m + 1, N):
+                block = B[m, n]
+                norm = float(np.linalg.norm(block))
+                if norm > mu:
+                    block = block * ((mu / norm) * (1.0 - shrink))
+                C[m, n] = block
+                C[n, m] = block.conj().T
+        out[t] = from_blocks(C)
+    return out

@@ -90,6 +90,31 @@ def test_solve_requires_single_mu_source(tmp_path):
     assert code == 1
 
 
+def test_solve_explicit_mu_zero(tmp_path):
+    # Three mutually orthogonal lines in R^3 meet mu = 0 exactly.
+    out_path = tmp_path / "r.csv"
+    code = main([
+        "solve", "--space", "projective", "--field", "R", "-d", "3", "-N", "3",
+        "--mu", "0", "--trials", "1", "--max-iter", "50", "--seed", "2",
+        "--out", str(out_path), "--no-timestamp",
+    ])
+    assert code == 0
+    (row,) = read_results_csv(out_path)
+    assert row.mu_target == 0.0
+    assert row.trials_failed == 0
+
+
+def test_solve_mu_zero_with_another_source_is_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "r.csv"
+    code = main([
+        "solve", "--space", "projective", "--field", "R", "-d", "3", "-N", "3",
+        "--mu", "0", "--mu-from-bound", "--trials", "1", "--out", str(out_path),
+    ])
+    assert code == 1
+    assert "choose exactly one" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_solve_spectral_sweep(tmp_path):
     out_path = tmp_path / "sweep.csv"
     code = main([

@@ -10,6 +10,8 @@ from grasspack.geometry import (
     Field,
     GramMatrix,
     Metric,
+    block_cosines,
+    cosine_magnitudes,
     dist,
     factor,
     gram,
@@ -265,6 +267,17 @@ def test_max_block_magnitude_matches_brute_force():
     assert max_block_magnitude(gl, Metric.SPHERE) == pytest.approx(
         brute_force_block_magnitude(gl, Metric.SPHERE), abs=1e-14
     )
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_chordal_block_magnitude_matches_cosines(field, K):
+    # The chordal magnitudes come from squared entries, not from an SVD.
+    rng = np.random.default_rng(10 + K)
+    for N in (2, 7, 30):
+        g = gram(random_configuration(6, K, N, field, rng))
+        want = np.max(cosine_magnitudes(block_cosines(g), Metric.CHORDAL))
+        assert max_block_magnitude(g, Metric.CHORDAL) == pytest.approx(want, abs=1e-14)
 
 
 def test_line_metric_relations():

@@ -5,11 +5,12 @@ import pytest
 
 import grasspack.projections as projections
 from grasspack.errors import InvalidInput
-from grasspack.geometry import Field, GramMatrix, Metric, as_blocks, from_blocks
+from grasspack.geometry import Field, GramMatrix, Metric, _split_blocks, as_blocks, from_blocks
 from grasspack.linalg import symmetrize
 from grasspack.projections import (
     SpectralSetSpec,
     StructuralSetSpec,
+    _cap_blocks,
     _spectral_stack,
     _water_fill,
     project_spectral,
@@ -20,6 +21,7 @@ from grasspack.starts import gaussian_matrix
 
 from tests.oracles import (
     fs_block_oracle_k2,
+    gather_chordal_cap,
     random_hermitian,
     random_structural_member,
     spectral_member_distances,
@@ -93,6 +95,34 @@ def test_structural_chordal_k1_scales_preserving_phase():
     entry = H.entries[0, 1]
     assert abs(entry) == pytest.approx(0.9, abs=1e-12)
     assert np.angle(entry) == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_chordal_cap_matches_gather_oracle(field, K):
+    rng = np.random.default_rng(40 + K)
+    T, N, mu = 3, 7, 0.6 * math.sqrt(K)
+    A = np.stack([random_hermitian(K * N, field, rng, scale=0.5) for _ in range(T)])
+    spec = StructuralSetSpec(metric=Metric.CHORDAL, mu=mu, K=K, N=N)
+    H = _cap_blocks(A, spec, _split_blocks(A, Metric.CHORDAL, K, N))
+    ref = gather_chordal_cap(A, mu, K, N, projections._FEAS_SHRINK)
+    if field is Field.REAL and K == 1:
+        assert np.array_equal(H, ref)
+    else:
+        # Block norms add their squares in another order than the oracle's.
+        assert np.max(np.abs(H - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(A))
+    assert np.array_equal(H, np.swapaxes(H, -1, -2).conj())
+    B, B_in = as_blocks(H, K, N), as_blocks(A, K, N)
+    idx = np.arange(N)
+    assert np.array_equal(B[:, idx, idx], np.broadcast_to(np.eye(K), (T, N, K, K)))
+    iu, ju = np.triu_indices(N, 1)
+    within = np.linalg.norm(B_in[:, iu, ju], axis=(-2, -1)) <= mu
+    assert within.any() and not within.all()
+    assert np.array_equal(B[:, iu, ju][within], B_in[:, iu, ju][within])
+    assert np.all(np.linalg.norm(B[:, iu, ju], axis=(-2, -1)) <= mu)
+    for t in range(T):
+        alone = _cap_blocks(A[t], spec, _split_blocks(A[t], Metric.CHORDAL, K, N))
+        assert np.array_equal(H[t], alone)
 
 
 def test_structural_sphere_clamps():
@@ -522,6 +552,23 @@ def test_warm_spectral_falls_back_bit_identically(field, eig_calls):
     for k, (H, V) in enumerate([(H_ok, V_ok), (H_tie, V_tie), (H_far, V_far)]):
         alone = _spectral_stack(H[None], spec, V[None])
         assert all(np.array_equal(a[k], b[0]) for a, b in zip(stack, alone))
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_warm_spectral_budget_before_fallback(field, eig_calls, monkeypatch):
+    # The far start of test_warm_spectral_falls_back_bit_identically.
+    rng = np.random.default_rng(32)
+    n, d = 96, 6
+    H, U, _ = _near_rank_d(n, d, field, rng, top=(3.0, 4.0), rest=(-1.0, 1.0))
+    spec = SpectralSetSpec(d=d, trace_target=float(n))
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda A, *a, **k: qr_calls.append(1) or qr(A, *a, **k))
+    warm = _spectral_stack(H[None], spec, U[None, :, d : 2 * d])
+    assert eig_calls == [1]
+    assert 1 <= len(qr_calls) <= projections._WARM_STEPS
+    full = _spectral_stack(H[None], spec)
+    assert all(np.array_equal(a, b) for a, b in zip(warm, full))
 
 
 def test_warm_spectral_output_contracts(eig_calls):
