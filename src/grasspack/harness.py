@@ -326,9 +326,11 @@ def _solve_cell(spec: ExperimentSpec, d: int, K: int, N: int, mu_base: float, wo
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every (d, K, N) cell of the spec and aggregate per-cell rows.
 
-    Cells whose reference row is missing are reported as warning rows with
-    NaN values and every trial counted failed.  Aggregation is independent
-    of trial completion order; rows come back sorted by (d, K, N).
+    A grassmann spec keeps only its cells with K < d, and one that keeps
+    none raises InvalidInput.  Cells whose reference row is missing are
+    reported as warning rows with NaN values and every trial counted
+    failed.  Aggregation is independent of trial completion order; rows
+    come back sorted by (d, K, N).
     """
     ref = ReferenceTable.load(spec.reference_path) if spec.mu_source == "reference_file" else None
     cells = sorted(
@@ -338,6 +340,11 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         for N in spec.N_values
         if K < d or spec.space != "grassmann"
     )
+    if not cells:
+        raise InvalidInput(
+            f"no cell to solve: a grassmann cell needs K < d, got d={list(spec.d_values)}, "
+            f"K={list(spec.K_values)}"
+        )
     rows = []
     workers = _effective_workers(spec.workers)
     # Every cell's mu values and solve parameters first, so a bad reference,

@@ -108,7 +108,83 @@ class SpectralSetSpec:
             raise InvalidInput(f"trace target must be positive, got {self.trace_target}")
 
 
-# Multiplier scan for solve_fs_block, as fractions of its upper end min(c)^2 / 4.
+# The K=2 solve makes four Newton runs, one per row of these tables: from
+# both ends of the concave part [a, c2 / 2] of its quartic, then from both
+# ends of the convex part [max(a, c2 / 2), c2].  The tables give each run's
+# direction of travel, the sign of q'' on its part, and whether it starts at
+# an end of [a, c2].  A run has converged when its step is below _PLANE_TOL
+# of its iterate, and gives up after _PLANE_STEPS steps; near a double root
+# it converges linearly with ratio 1/2, in about 55 steps from the far end
+# of a part.
+_AHEAD = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+_SIGN = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+_OUTER = np.array([[True], [False], [False], [True]])
+_PLANE_TOL = 4.0 * np.finfo(float).eps
+_PLANE_STEPS = 100
+
+
+def _plane_quartic(s, c1m, c2, mm):
+    """q(s) = s^3 (s - c2) + m (c1 s - m) and q'(s), given c1 m and m^2."""
+    s2 = s * s
+    return s2 * s * (s - c2) + (c1m * s - mm), s2 * (4.0 * s - 3.0 * c2) + c1m
+
+
+def _plane_candidates(c1, c2, m):
+    """Every stationary point of the K=2 program, as a (4, P) array of its
+    coordinate y2 = s (then y1 = m / s), NaN where a run finds none.
+
+    Row p has c1[p] >= c2[p] and the product cap m < c1 c2.  With y1 y2 = m,
+    stationarity y1 (y1 - c1) = y2 (y2 - c2) = -t for a multiplier t >= 0
+    is q(s) = 0 with s in [a, c2], a = m / c1, and q(a) < 0 < q(c2).  As
+    q'' = 6 s (2 s - c2), q is concave on [a, c2 / 2] (empty when
+    a >= c2 / 2) and convex on [max(a, c2 / 2), c2], so each part holds at
+    most two roots.  Each run starts at an end of a part where q has the
+    sign of q'' (Fourier's condition), so its Newton iterates move
+    monotonically toward the nearest root in the part; a run whose step
+    points backwards, or passes the far end of its part, has none to find.
+    A run stops when its step falls below _PLANE_TOL of its iterate or q
+    changes sign, which only rounding can make it do.  Two rules cover
+    rounding at the ends of [a, c2]: a run that starts there with q of the
+    wrong sign already sits on a root, and without a concave part the run
+    from c2 accepts a if it passes it, as the one root then lies within
+    rounding of a.  Each entry depends only on its own row.
+    """
+    a = m / c1
+    half = 0.5 * c2
+    concave = a < half
+    start = np.empty((4, len(c1)))
+    start[0], start[1], start[2], start[3] = a, half, np.maximum(a, half), c2
+    far = start[[1, 0, 3, 2]]  # the other end of each run's part
+    c1m, mm = c1 * m, m * m
+    enabled = np.ones(start.shape, dtype=bool)
+    enabled[:3] = concave
+    accept_far = np.zeros(start.shape, dtype=bool)
+    accept_far[3] = ~concave
+
+    s = start
+    q, dq = _plane_quartic(s, c1m, c2, mm)
+    side = q * _SIGN
+    root = np.where(enabled & ((q == 0.0) | (_OUTER & (side < 0.0))), s, np.nan)
+    live = enabled & (side > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_PLANE_STEPS):
+            if not live.any():
+                break
+            step = q / dq
+            live &= step * _AHEAD < 0.0
+            s_new = s - step
+            past = (s_new - far) * _AHEAD >= 0.0
+            s_new = np.where(past, far, s_new)
+            q, dq = _plane_quartic(s_new, c1m, c2, mm)
+            crossed = q * _SIGN <= 0.0
+            small = np.abs(step) <= _PLANE_TOL * s
+            root = np.where(live & (crossed | np.where(past, accept_far, small)), s_new, root)
+            live &= ~(past | crossed | small)
+            s = s_new
+    return root
+
+
+# Multiplier scan for the K >= 3 block solve, as fractions of its upper end min(c)^2 / 4.
 _SCAN = np.geomspace(1e-40, 1.0, 160)
 
 
@@ -165,13 +241,9 @@ def _refine_roots(c, branch, target, lo, hi, f_lo, f_hi):
     return np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
 
 
-def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
-    """Nearest log-domain singular values under a determinant cap, batched.
-
-    ``c`` is one block's nonnegative singular values, shape (K,), or one
-    block per row, shape (P, K); the result has the same shape.  Each row
-    minimizes 0.5 * ||exp(x) - c||^2 subject to sum(x) <= log(mu), and every
-    row must have prod(c) > mu, so the constraint is active at the solution.
+def _scan_block(cs, target):
+    """Each row's least-cost stationary point, by scanning the multiplier t;
+    NaN rows where none is found.
 
     Stationary points satisfy exp(x_k) * (exp(x_k) - c_k) = -t for a single
     multiplier t in [0, min(c)^2 / 4]; for each t and coordinate this
@@ -181,24 +253,9 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     (monotone in t) and every sign change on each one-smaller-root branch,
     for all rows at once.  All brackets are then refined together by a
     safeguarded Newton-bisection in t, using
-    d/dt log y_plus = -1 / (sqrt(c^2 - 4t) * y_plus).  Each row keeps its
-    least-cost candidate, is moved exactly onto the constraint through its
-    largest coordinate, and must meet stationarity to 1e-8; a row with no
-    candidate or a larger residual raises NumericalFailure.
+    d/dt log y_plus = -1 / (sqrt(c^2 - 4t) * y_plus).
     """
-    c = np.asarray(c, dtype=float)
-    if c.ndim not in (1, 2) or c.size < 1:
-        raise InvalidInput("c must be a vector of singular values or a (P, K) stack of them")
-    if not 0.0 < mu <= 1.0:
-        raise InvalidInput(f"mu must lie in (0, 1], got {mu}")
-    cs = np.maximum(c.reshape(-1, c.shape[-1]), 1e-12)
-    target = math.log(mu) - 1e-12
-    if np.any(np.sum(np.log(cs), axis=1) <= target):
-        raise InvalidInput("prod(c) <= mu: block is already feasible, nothing to solve")
-    P, K = cs.shape
-    if K == 1:
-        return np.full(c.shape, target)
-
+    P = len(cs)
     t_max = np.min(cs * cs, axis=1) / 4.0
     grid = np.zeros((P, 161))
     grid[:, 1:] = t_max[:, None] * _SCAN
@@ -227,11 +284,6 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     branch = np.concatenate([branch, j_end])
     t = np.concatenate([t, t_max[p_end]])
 
-    has = np.zeros(P, dtype=bool)
-    has[row] = True
-    if not has.all():
-        bad = int(np.argmin(has))
-        raise NumericalFailure(f"no stationary point found for c={cs[bad].tolist()}, mu={mu}")
     y = _plus_root(cs[row], t[:, None])
     small = np.nonzero(branch >= 0)[0]
     y[small, branch[small]] = t[small] / _plus_root(cs[row[small], branch[small]], t[small])
@@ -239,7 +291,59 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     # Stable sort: a cost tie goes to the earlier candidate, the all-larger
     # branch first, then the smaller root on the lowest coordinate.
     by_cost = np.lexsort((cost, row))
-    y = y[by_cost[np.searchsorted(row[by_cost], np.arange(P))]]
+    has = np.zeros(P, dtype=bool)
+    has[row] = True
+    out = np.full(cs.shape, np.nan)
+    out[has] = y[by_cost[np.searchsorted(row[by_cost], np.nonzero(has)[0])]]
+    return out
+
+
+def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
+    """Nearest log-domain singular values under a determinant cap, batched.
+
+    ``c`` is one block's nonnegative singular values, shape (K,), or one
+    block per row, shape (P, K); the result has the same shape.  Each row
+    minimizes 0.5 * ||exp(x) - c||^2 subject to sum(x) <= log(mu), and every
+    row must have prod(c) > mu, so the constraint is active at the solution.
+
+    K = 1 is closed form.  For K = 2 (planes) the stationary points are the
+    roots of one quartic, all found by :func:`_plane_candidates`; for K >= 3 a
+    scan of the multiplier brackets them (:func:`_scan_block`).  Each row
+    keeps its least-cost candidate, is moved exactly onto the constraint
+    through its largest coordinate, and must meet stationarity to 1e-8.  A
+    row with a non-finite value, no candidate, or a larger residual raises
+    NumericalFailure.  Each row's result does not depend on the other rows.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim not in (1, 2) or c.size < 1:
+        raise InvalidInput("c must be a vector of singular values or a (P, K) stack of them")
+    if not 0.0 < mu <= 1.0:
+        raise InvalidInput(f"mu must lie in (0, 1], got {mu}")
+    cs = np.maximum(c.reshape(-1, c.shape[-1]), 1e-12)
+    if not np.isfinite(cs).all():
+        bad = int(np.argmin(np.isfinite(cs).all(axis=1)))
+        raise NumericalFailure(f"non-finite singular values c={cs[bad].tolist()}")
+    target = math.log(mu) - 1e-12
+    if np.any(np.sum(np.log(cs), axis=1) <= target):
+        raise InvalidInput("prod(c) <= mu: block is already feasible, nothing to solve")
+    P, K = cs.shape
+    if K == 1:
+        return np.full(c.shape, target)
+    if K == 2:
+        m = math.exp(target)
+        c1, c2 = np.maximum(cs[:, 0], cs[:, 1]), np.minimum(cs[:, 0], cs[:, 1])
+        roots = _plane_candidates(c1, c2, m)
+        cost = np.where(np.isnan(roots), np.inf, (m / roots - c1) ** 2 + (roots - c2) ** 2)
+        s = roots[np.argmin(cost, axis=0), np.arange(P)]  # a tie goes to the earlier run
+        y = np.stack([m / s, s], axis=1)
+        swap = cs[:, 0] < cs[:, 1]
+        y[swap] = y[swap, ::-1]
+    else:
+        y = _scan_block(cs, target)
+    missing = np.isnan(y[:, 0])
+    if missing.any():
+        bad = int(np.argmax(missing))
+        raise NumericalFailure(f"no stationary point found for c={cs[bad].tolist()}, mu={mu}")
 
     # Land exactly on the constraint by absorbing root-finding residue into
     # the largest coordinate, where the log is least sensitive.
@@ -250,8 +354,8 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     y[rows, k_big] = np.exp(target - np.sum(log_rest, axis=1))
     comp = y * (y - cs)
     residual = np.max(np.abs(comp - np.mean(comp, axis=1, keepdims=True)), axis=1)
-    if np.any(residual > 1e-8):
-        bad = int(np.argmax(residual))
+    if not np.all(residual <= 1e-8):
+        bad = int(np.argmax(~(residual <= 1e-8)))
         raise NumericalFailure(
             f"stationarity residual {residual[bad]:.3e} above 1e-8 "
             f"for c={cs[bad].tolist()}, mu={mu}"

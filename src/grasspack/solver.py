@@ -125,22 +125,21 @@ def normalize_diagonal(G: GramMatrix) -> GramMatrix:
 # Exceptions that fail one trial; the rest of its stack goes on.
 TRIAL_FAILURES = (NumericalFailure, SingularBlock, NotPSD, RankExceeded)
 
-# Working-set budget of one trial stack, in array elements.  Twice this
-# budget saves a few percent of time on Fubini-Study cells but costs about
-# 5% more peak memory.
+# Working-set budget of one trial stack, in array elements.
 _STACK_ELEMENTS = 2**14
 
 
 def _stack_trials(metric: Metric, K: int, N: int) -> int:
     """How many trials of this shape to solve in one stack.
 
-    A trial's working set is its KN-by-KN iterate or, under Fubini-Study,
-    the multiplier scan of its block solve (P pairs by 161 points by K),
-    whichever is larger.  A stack holds as many trials as fit the budget,
-    and at least one.
+    A trial's working set is its KN-by-KN iterate or, under Fubini-Study
+    with K >= 3, the multiplier scan of its block solve (P pairs by 161
+    points by K), whichever is larger; the K <= 2 block solves hold a few
+    values per pair.  A stack holds as many trials as fit the budget, and
+    at least one.
     """
     per_trial = (K * N) ** 2
-    if metric is Metric.FUBINI_STUDY:
+    if metric is Metric.FUBINI_STUDY and K >= 3:
         per_trial = max(per_trial, N * (N - 1) // 2 * (_SCAN.size + 1) * K)
     return max(1, _STACK_ELEMENTS // per_trial)
 

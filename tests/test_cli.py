@@ -57,6 +57,15 @@ def test_solve_empty_range_is_usage_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_solve_without_cells_is_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "results.csv"
+    code = main(["solve", "--space", "grassmann", "-d", "2", "-K", "2", "-N", "3",
+                 "--mu", "0.5", "--trials", "1", "--out", str(out_path)])
+    assert code == 1
+    assert "usage error: no cell to solve" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_solve_reproducible_bytes(tmp_path):
     args = [
         "solve", "--space", "projective", "--field", "R",

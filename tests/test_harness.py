@@ -87,6 +87,21 @@ def test_run_experiment_small_projective():
         assert math.isfinite(row.avg_iterations)
 
 
+def test_run_experiment_rejects_spec_without_cells(monkeypatch):
+    # Every grassmann cell needs K < d; a spec that leaves none is a usage
+    # error, not an empty run.
+    spec = ExperimentSpec(
+        space="grassmann", field=Field.REAL, metric=Metric.CHORDAL,
+        d_values=(2, 3), K_values=(3,), N_values=(3,), trials=1,
+        mu_source="explicit", mu_explicit=0.5,
+    )
+    chunks = []
+    monkeypatch.setattr(harness, "_run_chunk", lambda *args: chunks.append(args) or [])
+    with pytest.raises(InvalidInput, match="K < d"):
+        run_experiment(spec)
+    assert chunks == []
+
+
 def test_run_experiment_missing_reference_row(tmp_path):
     path = tmp_path / "refs.csv"
     path.write_text("3,1,4,70.529,degrees\n")

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import grasspack.projections as projections
-from grasspack.errors import InvalidInput
+from grasspack.errors import InvalidInput, NumericalFailure
 from grasspack.geometry import Field, GramMatrix, Metric, _split_blocks, as_blocks, from_blocks
 from grasspack.linalg import symmetrize
 from grasspack.projections import (
     SpectralSetSpec,
     StructuralSetSpec,
     _cap_blocks,
+    _plane_candidates,
     _spectral_stack,
     _water_fill,
     project_spectral,
@@ -310,14 +311,120 @@ def _infeasible_rows(rng, K, mu, count):
 @pytest.mark.parametrize("K", [2, 3])
 def test_fs_block_batched_matches_row_by_row(K):
     rng = np.random.default_rng(15)
-    for mu in (0.02, 0.3):
+    for mu in (1e-6, 0.02, 0.3):
         # Small and large mu: rows land on the all-larger branch and on
-        # one-smaller-root branches.
+        # one-smaller-root branches, with and without a concave part of the
+        # K=2 quartic.
         c = _infeasible_rows(rng, K, mu, 30)
         x = solve_fs_block(c, mu)
         assert x.shape == c.shape
         for row, xr in zip(c, x):
-            assert np.max(np.abs(xr - solve_fs_block(row, mu))) <= 1e-12
+            if K == 2:
+                assert np.array_equal(xr, solve_fs_block(row, mu))
+            else:
+                assert np.max(np.abs(xr - solve_fs_block(row, mu))) <= 1e-12
+
+
+def _close_roots_plane():
+    """(c1, c2, mu) whose quartic has two roots 5e-7 apart near s = 0.45.
+
+    With c2 = 0.8, m0 = sqrt(r^3 (2 c2 - 3 r)) and c1 = (3 c2 r^2 - 4 r^3) / m0
+    the quartic has a double root at r = 0.45 in its convex part; lowering
+    the cap by 1.4e-13 splits it.
+    """
+    r, c2 = 0.45, 0.8
+    m0 = math.sqrt(r**3 * (2 * c2 - 3 * r))
+    c1 = (3 * c2 * r * r - 4 * r**3) / m0
+    return c1, c2, math.exp(math.log(m0 - 1.4e-13) + 1e-12)
+
+
+PLANE_CASES = {
+    "equal_c": (0.9, 0.9, 0.5),
+    "equal_c_small_mu": (0.7, 0.7, 0.05),
+    "mu_within_1e-9_of_product": (0.9, 0.6, 0.54 - 1e-9),
+    "mu_1e-6": (0.95, 0.6, 1e-6),
+    "mu_1e-6_small_c2": (0.9, 0.002, 1e-6),
+    "no_concave_part": (0.9, 0.8, 0.5),
+    "roots_5e-7_apart": _close_roots_plane(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANE_CASES))
+def test_fs_plane_candidates_are_every_root(case):
+    c1, c2, mu = PLANE_CASES[case]
+    m = math.exp(math.log(mu) - 1e-12)
+    found = _plane_candidates(np.array([c1]), np.array([c2]), m)[:, 0]
+    found = np.unique(found[np.isfinite(found)])
+    # Sign changes of the multiplier mismatch y2 (y2 - c2) - y1 (y1 - c1),
+    # with y1 = m / y2, over a dense grid, refined around s = 0.45 where the
+    # close pair of roots sits.
+    close = np.linspace(0.45 - 2e-6, 0.45 + 2e-6, 4001)
+    grid = np.union1d(np.linspace(m / c1, c2, 200_001), close)
+    grid = grid[(grid >= m / c1) & (grid <= c2)]
+    y1 = m / grid
+    mismatch = grid * (grid - c2) - y1 * (y1 - c1)
+    brackets = np.nonzero(np.diff(np.sign(mismatch)) != 0)[0]
+    assert len(found) == len(brackets) >= 1
+    for s, i in zip(found, brackets):
+        assert grid[i] - 1e-12 <= s <= grid[i + 1] + 1e-12
+    if case == "roots_5e-7_apart":
+        assert len(found) == 3 and 0.0 < found[2] - found[1] < 1e-6
+    if case == "no_concave_part":
+        assert m / c1 >= c2 / 2
+    c = np.array([c1, c2])
+    x = solve_fs_block(c, mu)
+    achieved = 0.5 * float(np.sum((np.exp(x) - c) ** 2))
+    assert achieved <= fs_block_oracle_k2(c, mu) + 1e-10
+
+
+def test_fs_block_barely_over_the_cap():
+    # A block within a few ulps of the cap puts the K=2 quartic's root within
+    # rounding of an end of its interval, where the rounded quartic can have
+    # the wrong sign.
+    eps = np.finfo(float).eps
+    rows = [([0.5925873487845916, 0.24815580945443455], 0.14705399321024473)]
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        c = np.sort(rng.uniform(0.05, 1.0, 2))[::-1]
+        rows += [(c, c[0] * c[1] * math.exp(1e-12) * (1 - k * eps)) for k in (0, 1, 2, 13)]
+    for c, mu in rows:
+        if float(np.sum(np.log(c))) <= math.log(mu) - 1e-12:
+            continue  # feasible once rounded
+        x = solve_fs_block(np.array(c), mu)
+        assert float(np.sum(x)) == pytest.approx(math.log(mu), abs=1e-9)
+
+
+def test_fs_block_k3_matches_scan_values():
+    # Outputs of the multiplier-scan solve, which K >= 3 still uses.
+    c = np.array([[0.9, 0.8, 0.7], [1.1, 0.3, 0.9], [0.95, 0.9, 0.2], [0.6, 0.6, 0.6]])
+    expected = {
+        0.1: [
+            [-0.26232914889193415, -0.44040828501390994, -1.5998476590892015],
+            [0.07790105009872048, -2.2487684147934863, -0.13171772830027972],
+            [-0.06211926487118543, -0.11744557341555316, -2.123020254708307],
+            [-0.7675283643316819, -0.7675283643316818, -0.7675283643316818],
+        ],
+        1e-3: [
+            [-0.10656384308913493, -0.22466724457202078, -6.576524191321981],
+            [0.09506033609504967, -6.897081806985369, -0.10573380809281707],
+            [-0.051551207200875096, -0.10564789417893053, -6.750556177603332],
+            [-5.876735713791755, -0.5155097825956912, -0.5155097825956912],
+        ],
+    }
+    for mu, want in expected.items():
+        assert np.allclose(solve_fs_block(c, mu), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("c", [
+    [math.nan, 0.5],
+    [math.inf, 0.5],
+    [[0.9, 0.9], [0.5, math.nan]],
+    [math.nan, 0.5, 0.5],
+    [[0.9, 0.9, 0.9], [0.5, math.inf, 0.5]],
+])
+def test_fs_block_non_finite_row_fails(c):
+    with pytest.raises(NumericalFailure):
+        solve_fs_block(np.array(c), 0.1)
 
 
 def test_fs_block_batched_tiny_mu_vs_golden_section():

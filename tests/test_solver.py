@@ -8,9 +8,11 @@ from grasspack.bounds import mu_from_rho, rankin_chordal, rankin_spectral
 from grasspack.errors import InvalidInput, SingularBlock
 from grasspack.geometry import Field, GramMatrix, Metric, gram
 from grasspack.solver import (
+    _STACK_ELEMENTS,
     SolveParams,
     SolveReport,
     _alternate_stack,
+    _stack_trials,
     alternate,
     normalize_diagonal,
 )
@@ -204,6 +206,20 @@ def test_stacked_trials_match_solo_solves(case):
     assert len({r.iterations_used for r in stacked}) > 1
     for G0, report in zip(starts, stacked):
         assert_same_report(report, alternate(G0, params))
+
+
+@pytest.mark.parametrize("N", [3, 5, 8])
+def test_stack_trials_budget(N):
+    # K <= 2 Fubini-Study block solves hold a few values per pair, so their
+    # stacks are sized by the KN-by-KN iterate alone; K >= 3 keeps the
+    # multiplier scan's P-by-161-by-K working set.
+    for K in (1, 2):
+        want = max(1, _STACK_ELEMENTS // (K * N) ** 2)
+        assert _stack_trials(Metric.FUBINI_STUDY, K, N) == want
+        assert _stack_trials(Metric.CHORDAL, K, N) == want
+    scan = N * (N - 1) // 2 * 161 * 3
+    assert _stack_trials(Metric.FUBINI_STUDY, 3, N) == max(1, _STACK_ELEMENTS // scan)
+    assert _stack_trials(Metric.CHORDAL, 3, N) == _STACK_ELEMENTS // (3 * N) ** 2
 
 
 def test_kn96_stack_case_takes_warm_path():
