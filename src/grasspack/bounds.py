@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInput
-from .geometry import Field, Metric
+from .geometry import Field, Metric, _mu_range
 
 __all__ = [
     "BoundReport",
@@ -126,33 +126,22 @@ def mu_from_rho(rho: float, metric: Metric, K: int = 1) -> float:
     Chordal: mu = sqrt(K - rho^2); spectral and sphere: mu = sqrt(1 - rho^2);
     Fubini-Study: mu = cos(rho).
     """
-    if metric is Metric.CHORDAL:
-        if not 0.0 <= rho <= math.sqrt(K) + 1e-12:
-            raise InvalidInput(f"chordal rho must lie in [0, sqrt(K)], got {rho}")
-        return math.sqrt(max(0.0, K - rho * rho))
-    if metric in (Metric.SPECTRAL, Metric.SPHERE):
-        if not 0.0 <= rho <= 1.0 + 1e-12:
-            raise InvalidInput(f"{metric.value} rho must lie in [0, 1], got {rho}")
-        return math.sqrt(max(0.0, 1.0 - rho * rho))
     if metric is Metric.FUBINI_STUDY:
         if not 0.0 <= rho <= math.pi / 2 + 1e-12:
             raise InvalidInput(f"fubini_study rho must lie in [0, pi/2], got {rho}")
         return max(0.0, math.cos(rho))
-    raise InvalidInput(f"no feasibility parameter for metric {metric}")
+    # Otherwise rho and mu share [0, hi], hi the metric's largest mu.
+    hi = _mu_range(metric, K)[1]
+    if not 0.0 <= rho <= hi + 1e-12:
+        raise InvalidInput(f"{metric.value} rho must lie in [0, {hi:g}], got {rho}")
+    return math.sqrt(max(0.0, (K if metric is Metric.CHORDAL else 1.0) - rho * rho))
 
 
 def rho_from_mu(mu: float, metric: Metric, K: int = 1) -> float:
-    """Inverse of :func:`mu_from_rho`."""
-    if metric is Metric.CHORDAL:
-        if not 0.0 <= mu <= math.sqrt(K) + 1e-12:
-            raise InvalidInput(f"chordal mu must lie in [0, sqrt(K)], got {mu}")
-        return math.sqrt(max(0.0, K - mu * mu))
-    if metric in (Metric.SPECTRAL, Metric.SPHERE):
-        if not 0.0 <= mu <= 1.0 + 1e-12:
-            raise InvalidInput(f"{metric.value} mu must lie in [0, 1], got {mu}")
-        return math.sqrt(max(0.0, 1.0 - mu * mu))
+    """Inverse of :func:`mu_from_rho`, for mu in [0, the metric's largest mu]."""
+    hi = _mu_range(metric, K)[1]
+    if not 0.0 <= mu <= hi + 1e-12:
+        raise InvalidInput(f"{metric.value} mu must lie in [0, {hi:g}], got {mu}")
     if metric is Metric.FUBINI_STUDY:
-        if not 0.0 <= mu <= 1.0 + 1e-12:
-            raise InvalidInput(f"fubini_study mu must lie in [0, 1], got {mu}")
-        return math.acos(min(1.0, max(0.0, mu)))
-    raise InvalidInput(f"no feasibility parameter for metric {metric}")
+        return math.acos(min(1.0, mu))
+    return math.sqrt(max(0.0, (K if metric is Metric.CHORDAL else 1.0) - mu * mu))

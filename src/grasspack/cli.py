@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .bounds import cell_bound
@@ -182,6 +183,8 @@ def _cmd_solve(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise InvalidInput(f"--out {args.out} must name a file in an existing directory")
     rows = run_experiment(spec)
     if mu_source == "reference_file":
         rows = compare_reference(rows, ReferenceTable.load(ref_path))

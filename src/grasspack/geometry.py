@@ -69,6 +69,18 @@ class Metric(Enum):
     SPHERE = "sphere"
 
 
+def _mu_range(metric: Metric, K: int) -> tuple:
+    """(lowest, highest) block-magnitude cap mu of a metric at block size K;
+    a sphere cap bounds a signed inner product, and geodesic has no cap."""
+    if metric is Metric.CHORDAL:
+        return 0.0, math.sqrt(K)
+    if metric in (Metric.SPECTRAL, Metric.FUBINI_STUDY):
+        return 0.0, 1.0
+    if metric is Metric.SPHERE:
+        return -1.0, 1.0
+    raise InvalidInput(f"no feasibility parameter for metric {metric}")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """N orthonormal K-frames in a d-dimensional space.
@@ -308,35 +320,29 @@ def gram(config: Configuration) -> GramMatrix:
     return GramMatrix(field=config.field, K=config.K, N=config.N, entries=X.conj().T @ X)
 
 
-def factor(
-    G: GramMatrix,
-    d: int,
-    *,
-    psd_tol: float = 1e-8,
-    rank_tol: float = 1e-6,
-    diag_tol: float = 1e-6,
-) -> Configuration:
+def factor(G: GramMatrix, d: int) -> Configuration:
     """Extract a configuration X with X*X ~ G from a Gram matrix.
 
     Uses the top-d eigenpairs, floors negative eigenvalues at zero, and
     re-orthonormalizes each block so the Configuration invariants hold
-    exactly.  Requires G positive semidefinite within ``psd_tol``, numerical
-    rank at most d within ``rank_tol``, and identity diagonal blocks within
-    ``diag_tol``.
+    exactly.  Requires, relative to the largest eigenvalue lambda_1, every
+    eigenvalue at least -1e-8 lambda_1 (positive semidefinite) and the
+    (d+1)-th at most 1e-6 lambda_1 (rank at most d), and every diagonal
+    block within 1e-6 of the identity, entry by entry.
     """
     if d < 1:
         raise InvalidInput("ambient dimension must be >= 1")
     K, N = G.K, G.N
     eye = np.eye(K)
     for n in range(N):
-        if np.max(np.abs(G.block(n, n) - eye)) > diag_tol:
-            raise InvalidInput(f"diagonal block {n} is not the identity within {diag_tol:g}")
+        if np.max(np.abs(G.block(n, n) - eye)) > 1e-6:
+            raise InvalidInput(f"diagonal block {n} is not the identity within 1e-06")
     w, U = hermitian_eig(G.entries)
     lam1 = max(float(w[0]), 0.0)
-    if float(w[-1]) < -psd_tol * max(lam1, 1e-300):
+    if float(w[-1]) < -1e-8 * max(lam1, 1e-300):
         raise NotPSD(f"most negative eigenvalue {w[-1]:.3e} exceeds tolerance")
     kn = K * N
-    if kn > d and float(w[d]) > rank_tol * max(lam1, 1e-300):
+    if kn > d and float(w[d]) > 1e-6 * max(lam1, 1e-300):
         raise RankExceeded(f"eigenvalue {d + 1} is {w[d]:.3e}, above rank tolerance")
     r = min(d, kn)
     weights = np.sqrt(np.clip(w[:r], 0.0, None))
@@ -354,9 +360,10 @@ def max_block_magnitude(G: GramMatrix, metric: Metric) -> float:
 
 def min_angle(mu: float, metric: Metric) -> float:
     """Smallest pairwise angle, in radians, of K = 1 lines or sphere points
-    whose largest block magnitude (|<x, y>|, or <x, y> on a sphere) is mu."""
-    lo = -1.0 if metric is Metric.SPHERE else 0.0
-    return math.acos(min(1.0, max(lo, mu)))
+    whose largest block magnitude (|<x, y>|, or <x, y> on a sphere) is mu,
+    clamped into the metric's mu range."""
+    lo, hi = _mu_range(metric, 1)
+    return math.acos(min(hi, max(lo, mu)))
 
 
 # --- configuration file format -------------------------------------------

@@ -29,6 +29,7 @@ from .errors import InitFailure, InvalidInput, ParseError
 from .geometry import (
     Field,
     Metric,
+    _mu_range,
     block_cosines,
     cosine_distances,
     cosine_magnitudes,
@@ -125,6 +126,16 @@ class ExperimentSpec:
                 raise InvalidInput(f"bad sweep specification {self.sweep}")
         if self.trials < 1:
             raise InvalidInput("trials must be >= 1")
+        if self.workers < 1:
+            raise InvalidInput("workers must be >= 1")
+
+
+def _open_text(path, what: str):
+    """Open a text file for reading; a file that cannot be opened is a ParseError."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot open {what} {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -136,11 +147,7 @@ class ReferenceTable:
     @classmethod
     def load(cls, path) -> "ReferenceTable":
         rows = {}
-        try:
-            fh = open(path, "r", encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot open reference file {path}: {exc}") from exc
-        with fh:
+        with _open_text(path, "reference file") as fh:
             first = True
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
@@ -181,10 +188,6 @@ def _default_tau(spec: ExperimentSpec, K: int) -> float:
     if spec.tau is not None:
         return spec.tau
     return 0.9 if spec.space in ("projective", "sphere") else math.sqrt(K)
-
-
-def _mu_cap(metric: Metric, K: int) -> float:
-    return math.sqrt(K) if metric is Metric.CHORDAL else 1.0
 
 
 def _report_unit(metric: Metric, K: int) -> str:
@@ -229,61 +232,36 @@ def _report_value(metric: Metric, K: int, report) -> float:
     return report.final_diameter**2
 
 
-def _trial_start(spec: ExperimentSpec, d: int, K: int, N: int, trial_index: int):
+def _trial_start(spec: ExperimentSpec, params: SolveParams, trial_index: int):
     seed = _derive_trial_seed(spec.seed, trial_index)
-    init = InitParams(tau=_default_tau(spec, K), max_draws=spec.max_draws, seed=seed)
+    init = InitParams(tau=_default_tau(spec, params.K), max_draws=spec.max_draws, seed=seed)
     config = initial_configuration(
-        d, K, N, spec.field, init, signed_similarity=(spec.space == "sphere")
+        params.d, params.K, params.N, spec.field, init, signed_similarity=(spec.space == "sphere")
     )
     return gram(config)
 
 
-def _solve_params(spec: ExperimentSpec, d: int, K: int, N: int, mu: float) -> SolveParams:
-    return SolveParams(
-        metric=spec.metric,
-        mu=mu,
-        d=d,
-        K=K,
-        N=N,
-        max_iterations=spec.max_iterations,
-        stop_slack=spec.stop_slack,
-    )
-
-
-def _run_trial(spec: ExperimentSpec, d: int, K: int, N: int, mu: float, trial_index: int):
-    params = _solve_params(spec, d, K, N, mu)
+def _run_trial(spec: ExperimentSpec, params: SolveParams, trial_index: int):
     try:
-        return alternate(_trial_start(spec, d, K, N, trial_index), params)
+        return alternate(_trial_start(spec, params, trial_index), params)
     except (InitFailure, *TRIAL_FAILURES):
         return None
 
 
-def _run_chunk(spec: ExperimentSpec, d: int, K: int, N: int, mu: float, indices) -> list:
+def _run_chunk(spec: ExperimentSpec, params: SolveParams, indices) -> list:
     """Reports (None where a trial failed) of trials solved as one stack."""
     if len(indices) == 1:
-        return [_run_trial(spec, d, K, N, mu, indices[0])]
-    params = _solve_params(spec, d, K, N, mu)
+        return [_run_trial(spec, params, indices[0])]
     starts = {}
     for idx in indices:
         try:
-            starts[idx] = _trial_start(spec, d, K, N, idx).entries
+            starts[idx] = _trial_start(spec, params, idx).entries
         except InitFailure:
             pass
     solved = {}
     if starts:
         solved = dict(zip(starts, _alternate_stack(np.stack(list(starts.values())), params)))
     return [None if isinstance(r, Exception) else r for r in map(solved.get, indices)]
-
-
-def _effective_workers(requested: int) -> int:
-    cap = os.environ.get("GRASSPACK_WORKERS", "")
-    workers = max(1, requested)
-    if cap.strip():
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise InvalidInput(f"GRASSPACK_WORKERS must be an integer, got {cap!r}") from None
-    return workers
 
 
 def _mu_values(spec: ExperimentSpec, K: int, mu_base: float) -> list:
@@ -299,27 +277,29 @@ def _mu_values(spec: ExperimentSpec, K: int, mu_base: float) -> list:
         mu_base * f if mu_base >= 0 else mu_base + (f - 1) * abs(mu_base)
         for f in np.linspace(lo, hi, int(steps))
     ]
-    return [min(mu, _mu_cap(spec.metric, K)) for mu in relaxed]
+    cap = _mu_range(spec.metric, K)[1]
+    return [min(mu, cap) for mu in relaxed]
 
 
-def _solve_cell(spec: ExperimentSpec, d: int, K: int, N: int, mu_base: float, workers: int):
-    """Solve reports (None where a trial failed) over the cell's trials and sweep.
+def _solve_cell(spec: ExperimentSpec, sweep: list) -> list:
+    """Solve reports (None where a trial failed) over a cell's trials, for
+    each ``SolveParams`` of its sweep in turn.
 
     Each mu value's trials are solved in stacks of ``_stack_trials`` trials;
-    a pool of workers maps over the same stacks, so the reports do not
-    depend on the worker count.
+    a pool of ``spec.workers`` workers maps over the same stacks, so the
+    reports do not depend on the worker count.
     """
-    size = _stack_trials(spec.metric, K, N)
+    size = _stack_trials(spec.metric, sweep[0].K, sweep[0].N)
     chunks = [
-        (mu, range(s * spec.trials + k, s * spec.trials + min(k + size, spec.trials)))
-        for s, mu in enumerate(_mu_values(spec, K, mu_base))
+        (params, range(s * spec.trials + k, s * spec.trials + min(k + size, spec.trials)))
+        for s, params in enumerate(sweep)
         for k in range(0, spec.trials, size)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(lambda c: _run_chunk(spec, d, K, N, *c), chunks))
+    if spec.workers > 1:
+        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+            solved = list(pool.map(lambda c: _run_chunk(spec, *c), chunks))
     else:
-        solved = [_run_chunk(spec, d, K, N, mu, indices) for mu, indices in chunks]
+        solved = [_run_chunk(spec, params, indices) for params, indices in chunks]
     return [report for chunk in solved for report in chunk]
 
 
@@ -345,20 +325,25 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             f"no cell to solve: a grassmann cell needs K < d, got d={list(spec.d_values)}, "
             f"K={list(spec.K_values)}"
         )
-    rows = []
-    workers = _effective_workers(spec.workers)
-    # Every cell's mu values and solve parameters first, so a bad reference,
-    # bound or swept mu fails before any trial.
+    # Every cell's mu values and solve parameters first, one SolveParams per
+    # (cell, mu), so a bad reference, bound or swept mu fails before any trial.
     mus = [_derive_mu(spec, ref, d, K, N) for d, K, N in cells]
-    for (d, K, N), mu_base in zip(cells, mus):
-        if mu_base is not None:
-            for mu in _mu_values(spec, K, mu_base):
-                _solve_params(spec, d, K, N, mu)
-    for (d, K, N), mu_base in zip(cells, mus):
-        if mu_base is None:
+    sweeps = [
+        None if mu_base is None else [
+            SolveParams(
+                metric=spec.metric, mu=mu, d=d, K=K, N=N,
+                max_iterations=spec.max_iterations, stop_slack=spec.stop_slack,
+            )
+            for mu in _mu_values(spec, K, mu_base)
+        ]
+        for (d, K, N), mu_base in zip(cells, mus)
+    ]
+    rows = []
+    for (d, K, N), mu_base, sweep in zip(cells, mus, sweeps):
+        if sweep is None:
             reports = [None] * spec.trials  # no reference row: every trial failed
         else:
-            reports = _solve_cell(spec, d, K, N, mu_base, workers)
+            reports = _solve_cell(spec, sweep)
         values = [_report_value(spec.metric, K, r) for r in reports if r is not None]
         iterations = [r.iterations_used for r in reports if r is not None]
         failed = sum(1 for r in reports if r is None)
@@ -471,9 +456,10 @@ def write_results_csv(results: list[ResultRow], path, *, header_note: str = "",
 
 
 def read_results_csv(path) -> list[ResultRow]:
+    """Rows of a results file; blank lines and ``#`` comments are skipped."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
+    with _open_text(path, "results file") as fh:
+        reader = csv.reader(line for line in fh if line.strip() and not line.startswith("#"))
         header = next(reader, None)
         if header is None or tuple(header) != RESULT_FIELDS:
             raise ParseError(f"{path}: unexpected results header {header}")

@@ -48,6 +48,7 @@ from .geometry import (
     Field,
     GramMatrix,
     Metric,
+    _mu_range,
     _split_blocks,
     as_blocks,
     upper_block_indices,
@@ -66,13 +67,6 @@ __all__ = [
 # mu, so a second projection sees a feasible block and leaves it untouched.
 _FEAS_SHRINK = 1e-13
 
-_MU_RANGE = {
-    Metric.CHORDAL: lambda mu, K: 0.0 <= mu <= math.sqrt(K) + 1e-12,
-    Metric.SPECTRAL: lambda mu, K: 0.0 <= mu <= 1.0 + 1e-12,
-    Metric.FUBINI_STUDY: lambda mu, K: 0.0 <= mu <= 1.0 + 1e-12,
-    Metric.SPHERE: lambda mu, K: -1.0 <= mu <= 1.0 + 1e-12,
-}
-
 
 @dataclass(frozen=True)
 class StructuralSetSpec:
@@ -84,12 +78,11 @@ class StructuralSetSpec:
     N: int
 
     def __post_init__(self):
-        if self.metric not in _MU_RANGE:
-            raise InvalidInput(f"no structural projection for metric {self.metric}")
-        if not _MU_RANGE[self.metric](self.mu, self.K):
-            raise InvalidInput(f"mu={self.mu} outside the valid range for {self.metric.value}")
         if self.K < 1 or self.N < 2:
             raise InvalidInput(f"invalid block structure K={self.K}, N={self.N}")
+        lo, hi = _mu_range(self.metric, self.K)
+        if not lo <= self.mu <= hi + 1e-12:
+            raise InvalidInput(f"mu={self.mu} outside the valid range for {self.metric.value}")
         if self.metric is Metric.SPHERE and self.K != 1:
             raise InvalidInput("sphere constraint set requires K = 1")
 

@@ -92,7 +92,7 @@ class SolveReport:
 
     iterations_used: int
     gap_history: list = dataclass_field(repr=False)
-    stopped_early: bool
+    stopped_early: bool  # iterations_used < max_iterations: mu was met within budget
     final_gram: GramMatrix
     final_config: Configuration
     final_diameter: float
@@ -158,7 +158,7 @@ def _step(G, parts, V, struct: StructuralSetSpec, spectral: SpectralSetSpec):
         raise NumericalFailure(f"eigendecomposition of an iterate failed: {exc}") from exc
 
 
-def _finish(G, field: Field, params: SolveParams, iterations: int, gaps: list, early: bool):
+def _finish(G, field: Field, params: SolveParams, iterations: int, gaps: list):
     G_out = normalize_diagonal(GramMatrix(field=field, K=params.K, N=params.N, entries=G))
     config = factor(G_out, params.d)
     mu_achieved = max_block_magnitude(G_out, params.metric)
@@ -169,7 +169,7 @@ def _finish(G, field: Field, params: SolveParams, iterations: int, gaps: list, e
     return SolveReport(
         iterations_used=iterations,
         gap_history=gaps,
-        stopped_early=early,
+        stopped_early=iterations < params.max_iterations,
         final_gram=G_out,
         final_config=config,
         final_diameter=diameter,
@@ -194,7 +194,6 @@ def _alternate_stack(G0s: np.ndarray, params: SolveParams) -> list:
     T = len(G0s)
     outcome: list = [None] * T  # final iterate, or the exception that failed the trial
     iterations = [params.max_iterations] * T
-    early = [False] * T
     gaps: list = [[] for _ in range(T)]
     live = np.arange(T)
     G = np.asarray(G0s)
@@ -205,7 +204,7 @@ def _alternate_stack(G0s: np.ndarray, params: SolveParams) -> list:
         if np.any(done):
             for a in np.flatnonzero(done):
                 t = live[a]
-                outcome[t], iterations[t], early[t] = G[a].copy(), it, True
+                outcome[t], iterations[t] = G[a].copy(), it
             keep = ~done
             live, G = live[keep], G[keep]
             parts = tuple(None if x is None else x[keep] for x in parts)
@@ -242,7 +241,7 @@ def _alternate_stack(G0s: np.ndarray, params: SolveParams) -> list:
             reports.append(outcome[t])
             continue
         try:
-            reports.append(_finish(outcome[t], field, params, iterations[t], gaps[t], early[t]))
+            reports.append(_finish(outcome[t], field, params, iterations[t], gaps[t]))
         except TRIAL_FAILURES as exc:
             reports.append(exc)
     return reports

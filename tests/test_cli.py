@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import grasspack.harness as harness
 from grasspack.cli import main
 from grasspack.geometry import Configuration, Field, write_configuration
 from grasspack.harness import read_results_csv
@@ -64,6 +65,18 @@ def test_solve_without_cells_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert "usage error: no cell to solve" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("out", ["missing/r.csv", "."])  # no such directory; a directory
+def test_solve_unwritable_out_fails_before_any_trial(monkeypatch, tmp_path, capsys, out):
+    chunks = []
+    monkeypatch.setattr(harness, "_run_chunk", lambda *args: chunks.append(args) or [])
+    code = main(["solve", "--space", "projective", "-d", "3", "-N", "4..6", "--mu-from-bound",
+                 "--trials", "3", "--max-iter", "200", "--out", str(tmp_path / out)])
+    assert code == 1
+    assert "--out" in capsys.readouterr().err
+    assert chunks == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_reproducible_bytes(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,28 +153,21 @@ def test_run_experiment_reproducible_and_worker_independent():
     rows1 = run_experiment(spec)
     rows2 = run_experiment(spec)
     assert rows1 == rows2
-    os.environ["GRASSPACK_WORKERS"] = "2"
-    try:
-        from dataclasses import replace
-
-        rows3 = run_experiment(replace(spec, workers=4))
-    finally:
-        del os.environ["GRASSPACK_WORKERS"]
-    assert rows3 == rows1
+    assert run_experiment(replace(spec, workers=4)) == rows1
 
 
-def test_malformed_workers_cap_is_a_usage_error(monkeypatch, tmp_path):
-    monkeypatch.setenv("GRASSPACK_WORKERS", "two")
-    spec = ExperimentSpec(
-        space="projective", field=Field.REAL, metric=Metric.CHORDAL,
-        d_values=(3,), N_values=(4,), trials=1,
-        mu_source="rankin_bound", max_iterations=10, seed=7,
-    )
-    with pytest.raises(InvalidInput):
-        run_experiment(spec)
+def test_workers_below_one_is_a_usage_error(monkeypatch, tmp_path):
+    with pytest.raises(InvalidInput, match="workers"):
+        ExperimentSpec(
+            space="projective", field=Field.REAL, metric=Metric.CHORDAL,
+            d_values=(3,), N_values=(4,), workers=0,
+        )
+    chunks = []
+    monkeypatch.setattr(harness, "_run_chunk", lambda *args: chunks.append(args) or [])
     code = main(["solve", "--space", "projective", "-d", "3", "-N", "4", "--mu-from-bound",
-                 "--trials", "1", "--max-iter", "10", "--out", str(tmp_path / "r.csv")])
+                 "--trials", "1", "--workers", "0", "--out", str(tmp_path / "r.csv")])
     assert code == 1
+    assert chunks == []
 
 
 def test_factorization_error_counts_as_failed_trial(monkeypatch):
@@ -262,9 +256,9 @@ def test_sphere_sweep_relaxes_negative_mu(monkeypatch, sweep, want):
     solved = []
     run_chunk = harness._run_chunk
 
-    def record(spec, d, K, N, mu, indices):
-        solved.append(mu)
-        return run_chunk(spec, d, K, N, mu, indices)
+    def record(spec, params, indices):
+        solved.append(params.mu)
+        return run_chunk(spec, params, indices)
 
     monkeypatch.setattr(harness, "_run_chunk", record)
     (row,) = run_experiment(_sphere_sweep(sweep=sweep))
@@ -273,6 +267,41 @@ def test_sphere_sweep_relaxes_negative_mu(monkeypatch, sweep, want):
     # A nonnegative mu is still scaled by the factors.
     spec = _sphere_sweep(mu_explicit=0.25, sweep=(1.0, 2.0, 3))
     assert harness._mu_values(spec, 1, 0.25) == [0.25 * f for f in (1.0, 1.5, 2.0)]
+
+
+@pytest.mark.parametrize("metric, K", [
+    *((m, K) for m in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY) for K in (1, 2, 3)),
+    (Metric.SPHERE, 1),  # sphere cells are K = 1 points
+])
+def test_sweep_cap_is_the_largest_structural_mu(metric, K):
+    space = "sphere" if metric is Metric.SPHERE else "grassmann"
+    spec = ExperimentSpec(
+        space=space, field=Field.REAL, metric=metric, d_values=(K + 1,), K_values=(K,),
+        N_values=(3,), mu_source="explicit", mu_explicit=0.5, sweep=(1.0, 100.0, 2),
+    )
+    cap = harness._mu_values(spec, K, 0.5)[-1]
+    projections.StructuralSetSpec(metric=metric, mu=cap, K=K, N=3)
+    with pytest.raises(InvalidInput, match="outside the valid range"):
+        projections.StructuralSetSpec(metric=metric, mu=cap + 1e-9, K=K, N=3)
+
+
+def test_run_experiment_builds_one_solve_params_per_cell_and_mu(monkeypatch):
+    built = []
+
+    class CountedParams(SolveParams):
+        def __post_init__(self):
+            built.append((self.N, self.mu))
+            super().__post_init__()
+
+    monkeypatch.setattr(harness, "SolveParams", CountedParams)
+    spec = ExperimentSpec(
+        space="grassmann", field=Field.COMPLEX, metric=Metric.SPECTRAL,
+        d_values=(4,), K_values=(2,), N_values=(3, 4), trials=3,
+        mu_source="rankin_bound", sweep=(1.0, 1.2, 3), max_iterations=20,
+    )
+    rows = run_experiment(spec)
+    assert len(built) == len(set(built)) == 6
+    assert all(row.trials_failed == 0 for row in rows)
 
 
 def test_out_of_range_mu_fails_before_any_chunk(monkeypatch, tmp_path):
@@ -390,6 +419,22 @@ def test_failed_writes_leave_existing_files_intact(monkeypatch, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["plot_chordal_d4_K2.csv", "results.csv"]
 
 
+def test_read_results_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "results.csv"
+    rows = [_row(error_vs_reference=0.25), _row(N=5, error_vs_reference=0.5)]
+    write_results_csv(rows, path, header_note="note", timestamp=False)
+    lines = path.read_text().splitlines()
+    # Blank lines around the header, between rows, and a trailing one.
+    path.write_text("\n".join(["", *lines[:3], "  ", lines[3], "", lines[4], "", ""]))
+    assert read_results_csv(path) == rows
+
+
+def test_read_results_csv_missing_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "missing.csv"
+    with pytest.raises(ParseError, match="missing.csv"):
+        read_results_csv(path)
+
+
 def test_read_results_csv_rejects_malformed_rows(tmp_path):
     path = tmp_path / "results.csv"
     write_results_csv([_row()], path, timestamp=False)
@@ -445,11 +490,16 @@ def test_sweep_cell_reports_match_solo_solves():
         mu_source="rankin_bound", sweep=(1.0, 1.3, 3), max_iterations=200, seed=2,
     )
     mu_base = harness._derive_mu(spec, None, 4, 2, 5)
-    reports = harness._solve_cell(spec, 4, 2, 5, mu_base, workers=1)
-    mu_values = [min(mu_base * f, 1.0) for f in np.linspace(1.0, 1.3, 3)]
+    sweep = [
+        SolveParams(metric=Metric.SPECTRAL, mu=min(mu_base * f, 1.0), d=4, K=2, N=5,
+                    max_iterations=200)
+        for f in np.linspace(1.0, 1.3, 3)
+    ]
+    assert [params.mu for params in sweep] == harness._mu_values(spec, 2, mu_base)
+    reports = harness._solve_cell(spec, sweep)
     solo = [
-        harness._run_trial(spec, 4, 2, 5, mu, s * spec.trials + k)
-        for s, mu in enumerate(mu_values)
+        harness._run_trial(spec, params, s * spec.trials + k)
+        for s, params in enumerate(sweep)
         for k in range(spec.trials)
     ]
     assert len({r.iterations_used for r in reports}) > 1
@@ -463,6 +513,9 @@ FS_SPEC = ExperimentSpec(
     mu_source="explicit", mu_explicit=math.cos(0.9995 * math.pi / 2),
     max_iterations=100, seed=5,
 )
+FS_PARAMS = SolveParams(
+    metric=Metric.FUBINI_STUDY, mu=FS_SPEC.mu_explicit, d=4, K=2, N=4, max_iterations=100,
+)
 
 
 @pytest.mark.parametrize("site, error", [
@@ -471,8 +524,8 @@ FS_SPEC = ExperimentSpec(
     ("hermitian_eig", np.linalg.LinAlgError("injected")),  # the stacked eigh raises
 ])
 def test_one_failing_trial_fails_alone(monkeypatch, site, error):
-    mu, bad = FS_SPEC.mu_explicit, 3
-    solo = [harness._run_trial(FS_SPEC, 4, 2, 4, mu, k) for k in range(FS_SPEC.trials)]
+    bad = 3
+    solo = [harness._run_trial(FS_SPEC, FS_PARAMS, k) for k in range(FS_SPEC.trials)]
     item_dims = 1 if site == "solve_fs_block" else 2  # rows of singular values, or matrices
 
     def items(x):
@@ -482,7 +535,7 @@ def test_one_failing_trial_fails_alone(monkeypatch, site, error):
     real = getattr(projections, site)
     first = []
     monkeypatch.setattr(projections, site, lambda x, *a: first.append(x.copy()) or real(x, *a))
-    harness._run_trial(FS_SPEC, 4, 2, 4, mu, bad)
+    harness._run_trial(FS_SPEC, FS_PARAMS, bad)
     marked = {item.tobytes() for item in items(first[0])}
 
     def faulty(x, *args):
@@ -495,7 +548,7 @@ def test_one_failing_trial_fails_alone(monkeypatch, site, error):
         return out
 
     monkeypatch.setattr(projections, site, faulty)
-    reports = harness._solve_cell(FS_SPEC, 4, 2, 4, mu, workers=1)
+    reports = harness._solve_cell(FS_SPEC, [FS_PARAMS])
     assert reports[bad] is None
     for k in range(FS_SPEC.trials):
         if k != bad:

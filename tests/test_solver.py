@@ -205,6 +205,7 @@ def test_stacked_trials_match_solo_solves(case):
     # Trials leave the stack at different iterations.
     assert len({r.iterations_used for r in stacked}) > 1
     for G0, report in zip(starts, stacked):
+        assert report.stopped_early == (report.iterations_used < cap)
         assert_same_report(report, alternate(G0, params))
 
 
