@@ -11,13 +11,16 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 
 from .bounds import cell_bound
 from .errors import GrasspackError, InvalidInput
 from .geometry import Field, Metric
 from .harness import (
+    _SPACE_METRICS,
     ExperimentSpec,
     ReferenceTable,
+    _check_space,
     compare_reference,
     evaluate_file,
     export,
@@ -26,14 +29,7 @@ from .harness import (
     write_results_csv,
 )
 
-_METRIC_ALIASES = {
-    "chordal": Metric.CHORDAL,
-    "spectral": Metric.SPECTRAL,
-    "fs": Metric.FUBINI_STUDY,
-    "fubini_study": Metric.FUBINI_STUDY,
-    "geodesic": Metric.GEODESIC,
-    "sphere": Metric.SPHERE,
-}
+_METRIC_ALIASES = {m.value: m for m in Metric} | {"fs": Metric.FUBINI_STUDY}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,22 +75,14 @@ def _parse_sweep(text: str) -> tuple:
     return (float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-def _add_shape_args(p: _Parser, *, require_space: bool = True) -> None:
-    p.add_argument("--space", choices=("projective", "grassmann", "sphere"),
-                   required=require_space)
+def _add_shape_args(p: _Parser) -> None:
+    # Dests are ExperimentSpec field names; an unset --metric is the space's default.
+    p.add_argument("--space", choices=tuple(_SPACE_METRICS), required=True)
     p.add_argument("--field", type=_parse_field, default=Field.REAL, metavar="R|C")
     p.add_argument("--metric", type=_parse_metric, default=None)
-    p.add_argument("-d", type=_parse_range, required=True, metavar="D[..D2]")
-    p.add_argument("-K", type=_parse_range, default=(1,), metavar="K")
-    p.add_argument("-N", type=_parse_range, required=True, metavar="N[..N2]")
-
-
-def _resolve_metric(space: str, metric: Metric | None) -> Metric:
-    if space == "projective":
-        return Metric.CHORDAL
-    if space == "sphere":
-        return Metric.SPHERE
-    return metric or Metric.CHORDAL
+    p.add_argument("-d", dest="d_values", type=_parse_range, required=True, metavar="D[..D2]")
+    p.add_argument("-K", dest="K_values", type=_parse_range, default=(1,), metavar="K")
+    p.add_argument("-N", dest="N_values", type=_parse_range, required=True, metavar="N[..N2]")
 
 
 def build_parser() -> _Parser:
@@ -106,17 +94,17 @@ def build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="run packing experiments")
     _add_shape_args(p_solve)
-    p_solve.add_argument("--mu-from-ref", dest="mu_from_ref", metavar="REF_CSV")
+    p_solve.add_argument("--mu-from-ref", dest="reference_path", metavar="REF_CSV")
     p_solve.add_argument("--mu-from-bound", dest="mu_from_bound", action="store_true")
     p_solve.add_argument("--mu", dest="mu_explicit", type=float)
     p_solve.add_argument("--sweep", type=_parse_sweep, metavar="MIN:MAX:STEPS")
-    p_solve.add_argument("--trials", type=int, default=10)
-    p_solve.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
-    p_solve.add_argument("--stop-slack", dest="stop_slack", type=float, default=1e-5)
-    p_solve.add_argument("--tau", type=float, default=None)
-    p_solve.add_argument("--max-draws", dest="max_draws", type=int, default=10000)
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--workers", type=int, default=1)
+    # Solve settings: an unset flag takes the ExperimentSpec field's default.
+    p_solve.add_argument("--trials", type=int, default=argparse.SUPPRESS)
+    p_solve.add_argument("--max-iter", dest="max_iterations", metavar="MAX_ITER", type=int,
+                         default=argparse.SUPPRESS)
+    for flag, kind in (("--stop-slack", float), ("--tau", float), ("--max-draws", int),
+                       ("--seed", int), ("--workers", int)):
+        p_solve.add_argument(flag, type=kind, default=argparse.SUPPRESS)
     p_solve.add_argument("--out", default="results.csv")
     p_solve.add_argument("--no-timestamp", dest="timestamp", action="store_false")
 
@@ -132,80 +120,49 @@ def build_parser() -> _Parser:
 
 
 def _cmd_bound(args) -> int:
-    metric = _resolve_metric(args.space, args.metric)
+    _check_space(args.space, args.metric, args.field, args.K_values)
     out = []
-    for d in args.d:
-        for K in args.K:
-            for N in args.N:
-                report = cell_bound(args.space, metric, args.field, d, K, N)
-                entry = {
-                    "d": d, "K": K, "N": N,
-                    "field": args.field.value, "metric": metric.value,
-                    "bound_value": report.bound_value,
-                    "attainable": report.attainable,
-                    "attainability_limit": report.attainability_limit,
-                    "equidistance_implied": report.equidistance_implied,
-                }
-                if report.degrees is not None:
-                    entry["degrees"] = report.degrees
-                out.append(entry)
+    for d in args.d_values:
+        for K in args.K_values:
+            for N in args.N_values:
+                report = asdict(cell_bound(args.space, args.metric, args.field, d, K, N))
+                out.append({
+                    "d": d, "K": K, "N": N, "field": args.field.value, "metric": args.metric.value,
+                    **{k: v for k, v in report.items() if v is not None},  # degrees: lines only
+                })
     print(json.dumps(out if len(out) > 1 else out[0], indent=2))
     return 0
 
 
 def _cmd_solve(args) -> int:
     # --mu 0 is a valid target, so an option counts as given when it is set.
-    given = (args.mu_from_ref is not None, args.mu_from_bound, args.mu_explicit is not None)
+    given = (args.reference_path is not None, args.mu_from_bound, args.mu_explicit is not None)
     if sum(given) != 1:
         raise InvalidInput("choose exactly one of --mu-from-ref, --mu-from-bound, --mu")
-    if args.mu_from_ref is not None:
-        mu_source, ref_path = "reference_file", args.mu_from_ref
-    elif args.mu_from_bound:
-        mu_source, ref_path = "rankin_bound", None
-    else:
-        mu_source, ref_path = "explicit", None
-    spec = ExperimentSpec(
-        space=args.space,
-        field=args.field,
-        metric=_resolve_metric(args.space, args.metric),
-        d_values=args.d,
-        K_values=args.K,
-        N_values=args.N,
-        trials=args.trials,
-        mu_source=mu_source,
-        reference_path=ref_path,
-        mu_explicit=args.mu_explicit,
-        sweep=args.sweep,
-        max_iterations=args.max_iter,
-        stop_slack=args.stop_slack,
-        tau=args.tau,
-        max_draws=args.max_draws,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    mu_source = ("reference_file", "rankin_bound", "explicit")[given.index(True)]
+    names = {f.name for f in fields(ExperimentSpec)}
+    settings = {name: value for name, value in vars(args).items() if name in names}
+    spec = ExperimentSpec(**settings, mu_source=mu_source)
     if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
         raise InvalidInput(f"--out {args.out} must name a file in an existing directory")
     rows = run_experiment(spec)
     if mu_source == "reference_file":
-        rows = compare_reference(rows, ReferenceTable.load(ref_path))
+        rows = compare_reference(rows, ReferenceTable.load(spec.reference_path))
     note = (
         f"space={spec.space} field={spec.field.value} metric={spec.metric.value} "
         f"trials={spec.trials} max_iter={spec.max_iterations} "
         f"stop_slack={spec.stop_slack:g} seed={spec.seed}"
     )
     write_results_csv(rows, args.out, header_note=note, timestamp=args.timestamp)
-    failed_cells = 0
     for row in rows:
         status = "ok" if math.isfinite(row.best_diameter) else "FAILED"
-        if not math.isfinite(row.best_diameter):
-            failed_cells += 1
         print(
             f"d={row.d} K={row.K} N={row.N} best={row.best_diameter:.6g} "
             f"avg={row.avg_diameter:.6g} iters={row.avg_iterations:.6g} "
             f"failed_trials={row.trials_failed} [{status}]"
         )
     print(f"wrote {args.out}")
-    return 2 if failed_cells else 0
+    return 2 if any(not math.isfinite(row.best_diameter) for row in rows) else 0
 
 
 def _cmd_eval(args) -> int:
@@ -223,6 +180,8 @@ def _cmd_export(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "space", None) and args.metric is None:
+        args.metric = _SPACE_METRICS[args.space][0]
     handlers = {
         "bound": _cmd_bound,
         "solve": _cmd_solve,
@@ -230,7 +189,13 @@ def main(argv=None) -> int:
         "export": _cmd_export,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early: not a failed run.  Devnull quiets the exit flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except InvalidInput as exc:
         print(f"grasspack: usage error: {exc}", file=sys.stderr)
         return 1

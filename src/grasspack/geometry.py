@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -370,7 +372,34 @@ def min_angle(mu: float, metric: Metric) -> float:
 #
 # JSON object {field, d, K, N, blocks} where blocks is a list of N blocks,
 # each a row-major list of d*K entries; complex entries are [re, im] pairs,
-# real entries bare numbers.  Floats round-trip bit-exactly.
+# real entries bare numbers.  Floats round-trip bit-exactly.  The package
+# reads every file through _open_text and writes it through _atomic_text.
+
+
+def _open_text(path, what: str):
+    """Open a text file for reading; a file that cannot be opened is a ParseError."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot open {what} {path}: {exc}") from exc
+
+
+@contextmanager
+def _atomic_text(path):
+    """Write a text file through a temporary file in the same directory.
+
+    The temporary file replaces ``path`` only once the block completes, so a
+    write that fails partway leaves any existing file at ``path`` intact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _entry_to_obj(x, field: Field):
@@ -380,6 +409,7 @@ def _entry_to_obj(x, field: Field):
 
 
 def write_configuration(config: Configuration, path) -> None:
+    """Write a configuration file, replacing any old one atomically."""
     obj = {
         "field": config.field.value,
         "d": config.d,
@@ -390,14 +420,14 @@ def write_configuration(config: Configuration, path) -> None:
             for block in config.blocks
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         json.dump(obj, fh)
         fh.write("\n")
 
 
 def read_configuration(path) -> Configuration:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_text(path, "configuration file") as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc

@@ -18,7 +18,6 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
@@ -29,7 +28,9 @@ from .errors import InitFailure, InvalidInput, ParseError
 from .geometry import (
     Field,
     Metric,
+    _atomic_text,
     _mu_range,
+    _open_text,
     block_cosines,
     cosine_distances,
     cosine_magnitudes,
@@ -53,8 +54,30 @@ __all__ = [
     "read_results_csv",
 ]
 
-_SPACES = ("projective", "grassmann", "sphere")
+# The metrics each space takes, the first its default.  Only grassmann cells
+# may have K != 1, and sphere points are real (see _check_space).
+_SPACE_METRICS = {
+    "projective": (Metric.CHORDAL,),
+    "grassmann": (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY),
+    "sphere": (Metric.SPHERE,),
+}
 _UNITS = ("degrees", "squared_diameter")
+
+
+def _check_space(space: str, metric: Metric, field: Field, K_values) -> None:
+    """Raise InvalidInput unless the space takes this metric, field and K."""
+    if space not in _SPACE_METRICS:
+        raise InvalidInput(f"space must be one of {tuple(_SPACE_METRICS)}, got {space!r}")
+    metrics = _SPACE_METRICS[space]
+    if metric not in metrics:
+        names = ", ".join(m.value for m in metrics)
+        got = getattr(metric, "value", metric)
+        raise InvalidInput(f"{space} experiments take the metrics ({names}), got {got}")
+    if space != "grassmann" and tuple(K_values) != (1,):
+        raise InvalidInput(f"{space} experiments require K=1, got K={list(K_values)}")
+    if space == "sphere" and field is not Field.REAL:
+        raise InvalidInput("sphere experiments are real-valued")
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -99,21 +122,7 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.space not in _SPACES:
-            raise InvalidInput(f"space must be one of {_SPACES}, got {self.space!r}")
-        if self.space == "sphere":
-            if self.metric is not Metric.SPHERE or tuple(self.K_values) != (1,):
-                raise InvalidInput("sphere experiments require metric=sphere and K=1")
-            if self.field is not Field.REAL:
-                raise InvalidInput("sphere experiments are real-valued")
-        elif self.space == "projective":
-            if tuple(self.K_values) != (1,):
-                raise InvalidInput("projective experiments require K=1")
-            if self.metric is not Metric.CHORDAL:
-                raise InvalidInput("projective experiments use the chordal metric")
-        else:
-            if self.metric not in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY):
-                raise InvalidInput(f"unsupported grassmann metric {self.metric}")
+        _check_space(self.space, self.metric, self.field, self.K_values)
         if self.mu_source not in ("reference_file", "rankin_bound", "explicit"):
             raise InvalidInput(f"unknown mu_source {self.mu_source!r}")
         if self.mu_source == "reference_file" and not self.reference_path:
@@ -130,12 +139,12 @@ class ExperimentSpec:
             raise InvalidInput("workers must be >= 1")
 
 
-def _open_text(path, what: str):
-    """Open a text file for reading; a file that cannot be opened is a ParseError."""
-    try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot open {what} {path}: {exc}") from exc
+def _data_lines(path, what: str) -> list:
+    """(line number, stripped text) of each line of a text table that is
+    neither blank nor a ``#`` comment."""
+    with _open_text(path, what) as fh:
+        stripped = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
+    return [(lineno, text) for lineno, text in stripped if text and not text.startswith("#")]
 
 
 @dataclass(frozen=True)
@@ -147,32 +156,25 @@ class ReferenceTable:
     @classmethod
     def load(cls, path) -> "ReferenceTable":
         rows = {}
-        with _open_text(path, "reference file") as fh:
-            first = True
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                if first:
-                    first = False
-                    if text.lower().startswith("d,"):
-                        continue  # optional header
-                parts = [p.strip() for p in text.split(",")]
-                if len(parts) != 5:
-                    raise ParseError(f"{path}:{lineno}: expected 'd,K,N,value,unit'")
-                try:
-                    key = (int(parts[0]), int(parts[1]), int(parts[2]))
-                    value = float(parts[3])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}:{lineno}: value {parts[3]!r} is not finite")
-                unit = parts[4]
-                if unit not in _UNITS:
-                    raise ParseError(f"{path}:{lineno}: unknown unit {unit!r}")
-                if key in rows:
-                    raise ParseError(f"{path}:{lineno}: duplicate key {key}")
-                rows[key] = (value, unit)
+        for i, (lineno, text) in enumerate(_data_lines(path, "reference file")):
+            if i == 0 and text.lower().startswith("d,"):
+                continue  # optional header
+            parts = [p.strip() for p in text.split(",")]
+            if len(parts) != 5:
+                raise ParseError(f"{path}:{lineno}: expected 'd,K,N,value,unit'")
+            try:
+                key = (int(parts[0]), int(parts[1]), int(parts[2]))
+                value = float(parts[3])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(value):
+                raise ParseError(f"{path}:{lineno}: value {parts[3]!r} is not finite")
+            unit = parts[4]
+            if unit not in _UNITS:
+                raise ParseError(f"{path}:{lineno}: unknown unit {unit!r}")
+            if key in rows:
+                raise ParseError(f"{path}:{lineno}: duplicate key {key}")
+            rows[key] = (value, unit)
         return cls(rows=rows)
 
     def get(self, d: int, K: int, N: int):
@@ -199,22 +201,30 @@ def _report_unit(metric: Metric, K: int) -> str:
     return "squared_diameter"
 
 
+def _reference_value(ref: ReferenceTable, metric: Metric, d: int, K: int, N: int):
+    """A cell's reference value, or None when the table has no row for it;
+    a row in another unit than the cell's reporting unit is an InvalidInput."""
+    row = ref.get(d, K, N)
+    if row is None:
+        return None
+    value, ref_unit = row
+    unit = _report_unit(metric, K)
+    if ref_unit != unit:
+        raise InvalidInput(
+            f"reference unit {ref_unit!r} does not match the unit {unit!r} of cell ({d},{K},{N})"
+        )
+    return value
+
+
 def _derive_mu(spec: ExperimentSpec, ref: ReferenceTable | None, d: int, K: int, N: int):
     """Feasibility parameter for one cell, or None when a reference row is missing."""
     if spec.mu_source == "explicit":
         return float(spec.mu_explicit)
-    unit = _report_unit(spec.metric, K)
     if spec.mu_source == "reference_file":
-        row = ref.get(d, K, N)
-        if row is None:
+        value = _reference_value(ref, spec.metric, d, K, N)
+        if value is None:
             return None
-        value, ref_unit = row
-        if ref_unit != unit:
-            raise InvalidInput(
-                f"reference unit {ref_unit!r} does not match the unit {unit!r} "
-                f"of cell ({d},{K},{N})"
-            )
-        if unit == "degrees":
+        if _report_unit(spec.metric, K) == "degrees":
             return math.cos(math.radians(value))
         return mu_from_rho(math.sqrt(value), spec.metric, K)
     bound = cell_bound(spec.space, spec.metric, spec.field, d, K, N).bound_value
@@ -366,18 +376,10 @@ def compare_reference(results: list[ResultRow], ref: ReferenceTable) -> list[Res
     """Annotate rows with (reference - achieved) in the row's reporting unit."""
     annotated = []
     for row in results:
-        entry = ref.get(row.d, row.K, row.N)
-        if entry is None:
-            annotated.append(row)
-            continue
-        value, unit = entry
-        row_unit = _report_unit(Metric(row.metric), row.K)
-        if unit != row_unit:
-            raise InvalidInput(
-                f"reference unit {unit!r} does not match row unit "
-                f"{row_unit!r} for cell ({row.d},{row.K},{row.N})"
-            )
-        annotated.append(replace(row, error_vs_reference=value - row.best_diameter))
+        value = _reference_value(ref, Metric(row.metric), row.d, row.K, row.N)
+        if value is not None:
+            row = replace(row, error_vs_reference=value - row.best_diameter)
+        annotated.append(row)
     return annotated
 
 
@@ -419,24 +421,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-@contextmanager
-def _atomic_text(path):
-    """Write a text file through a temporary file in the same directory.
-
-    The temporary file replaces ``path`` only once the block completes, so a
-    write that fails partway leaves any existing file at ``path`` intact.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_results_csv(results: list[ResultRow], path, *, header_note: str = "",
                       timestamp: bool = True) -> None:
     """Write rows at 17 significant digits, with optional commented metadata.
@@ -458,25 +442,24 @@ def write_results_csv(results: list[ResultRow], path, *, header_note: str = "",
 def read_results_csv(path) -> list[ResultRow]:
     """Rows of a results file; blank lines and ``#`` comments are skipped."""
     rows = []
-    with _open_text(path, "results file") as fh:
-        reader = csv.reader(line for line in fh if line.strip() and not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or tuple(header) != RESULT_FIELDS:
-            raise ParseError(f"{path}: unexpected results header {header}")
-        for parts in reader:
-            if len(parts) != len(RESULT_FIELDS):
-                raise ParseError(f"{path}: malformed row {parts}")
-            try:
-                row = ResultRow(
-                    d=int(parts[0]), K=int(parts[1]), N=int(parts[2]),
-                    field=Field(parts[3]).value, metric=Metric(parts[4]).value,
-                    mu_target=float(parts[5]), best_diameter=float(parts[6]),
-                    avg_diameter=float(parts[7]), error_vs_reference=float(parts[8]),
-                    avg_iterations=float(parts[9]), trials_failed=int(parts[10]),
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}: malformed row {parts}: {exc}") from exc
-            rows.append(row)
+    reader = csv.reader(text for _, text in _data_lines(path, "results file"))
+    header = next(reader, None)
+    if header is None or tuple(header) != RESULT_FIELDS:
+        raise ParseError(f"{path}: unexpected results header {header}")
+    for parts in reader:
+        if len(parts) != len(RESULT_FIELDS):
+            raise ParseError(f"{path}: malformed row {parts}")
+        try:
+            row = ResultRow(
+                d=int(parts[0]), K=int(parts[1]), N=int(parts[2]),
+                field=Field(parts[3]).value, metric=Metric(parts[4]).value,
+                mu_target=float(parts[5]), best_diameter=float(parts[6]),
+                avg_diameter=float(parts[7]), error_vs_reference=float(parts[8]),
+                avg_iterations=float(parts[9]), trials_failed=int(parts[10]),
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}: malformed row {parts}: {exc}") from exc
+        rows.append(row)
     return rows
 
 

@@ -1,13 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grasspack.cli as cli
 import grasspack.harness as harness
 from grasspack.cli import main
-from grasspack.geometry import Configuration, Field, write_configuration
-from grasspack.harness import read_results_csv
+from grasspack.geometry import Configuration, Field, Metric, write_configuration
+from grasspack.harness import ExperimentSpec, read_results_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_bound_chordal_complex(capsys):
@@ -32,6 +40,54 @@ def test_bound_empty_range_is_usage_error(capsys):
         main(["bound", "--space", "projective", "-d", "3", "-N", "5..4"])
     assert err.value.code == 1
     assert "empty range" in capsys.readouterr().err
+
+
+def test_closed_stdout_is_not_a_failed_run():
+    # About 0.8 MB of JSON: far more than a pipe holds, so the writer meets
+    # the closed pipe while it is still printing.
+    with subprocess.Popen(
+        [sys.executable, "-m", "grasspack", "bound", "--space", "projective",
+         "-d", "3..60", "-N", "4..60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--space", "projective", "--metric", "spectral"],
+    ["solve", "--space", "sphere", "--metric", "chordal"],
+    ["bound", "--space", "projective", "-K", "2"],
+])
+def test_cell_the_space_does_not_take_is_usage_error(monkeypatch, tmp_path, capsys, args):
+    chunks = []
+    monkeypatch.setattr(harness, "_run_chunk", lambda *a: chunks.append(a) or [])
+    solve_args = ["--mu", "0.5", "--trials", "1", "--out", str(tmp_path / "r.csv")]
+    code = main([*args, "-d", "3", "-N", "4", *(solve_args if args[0] == "solve" else [])])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert chunks == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_settings_come_from_experiment_spec(monkeypatch, tmp_path):
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+    base = ["solve", "--space", "projective", "-d", "3", "-N", "4", "--mu-from-bound",
+            "--out", str(tmp_path / "r.csv")]
+    settings = {"--trials": ("trials", 3), "--max-iter": ("max_iterations", 77),
+                "--stop-slack": ("stop_slack", 1e-3), "--tau": ("tau", 0.7),
+                "--max-draws": ("max_draws", 55), "--seed": ("seed", 9),
+                "--workers": ("workers", 2)}
+    assert main(base) == 0
+    assert main(base + [a for flag, (_, v) in settings.items() for a in (flag, str(v))]) == 0
+    defaults = ExperimentSpec(space="projective", field=Field.REAL, metric=Metric.CHORDAL,
+                              d_values=(3,), N_values=(4,))
+    assert specs == [defaults, replace(defaults, **dict(settings.values()))]
 
 
 def test_solve_writes_results(tmp_path, capsys):
@@ -165,6 +221,8 @@ def test_eval_command(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["min_angle_degrees"] == pytest.approx(90.0)
+    assert main(["eval", str(tmp_path / "missing.json")]) == 2
+    assert "missing.json" in capsys.readouterr().err
 
 
 def test_export_command(tmp_path, capsys):

@@ -316,6 +316,8 @@ def test_read_configuration_corrupt(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ParseError):
         read_configuration(path)
+    with pytest.raises(ParseError, match="missing.json"):
+        read_configuration(tmp_path / "missing.json")
 
 
 def test_read_configuration_wrong_counts(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from dataclasses import replace
@@ -416,7 +417,21 @@ def test_failed_writes_leave_existing_files_intact(monkeypatch, tmp_path):
         export([_row(d=4, K=2, N=n, field="complex", best_diameter=1.1) for n in (3, 4)],
                "plot_data", tmp_path, timestamp=False)
     assert open(series, "rb").read() == before_series
-    assert sorted(os.listdir(tmp_path)) == ["plot_chordal_d4_K2.csv", "results.csv"]
+
+    config_path = tmp_path / "config.json"
+    config = Configuration(field=Field.REAL, blocks=np.eye(3).reshape(3, 3, 1))
+    write_configuration(config, config_path)
+    before_config = config_path.read_bytes()
+
+    def failing_dump(obj, fh):
+        fh.write('{"field": "re')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        write_configuration(config, config_path)
+    assert config_path.read_bytes() == before_config
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "plot_chordal_d4_K2.csv", "results.csv"]
 
 
 def test_read_results_csv_skips_blank_lines(tmp_path):
@@ -424,8 +439,9 @@ def test_read_results_csv_skips_blank_lines(tmp_path):
     rows = [_row(error_vs_reference=0.25), _row(N=5, error_vs_reference=0.5)]
     write_results_csv(rows, path, header_note="note", timestamp=False)
     lines = path.read_text().splitlines()
-    # Blank lines around the header, between rows, and a trailing one.
-    path.write_text("\n".join(["", *lines[:3], "  ", lines[3], "", lines[4], "", ""]))
+    # Blank lines around the header, between rows, and a trailing one, and
+    # an indented comment.
+    path.write_text("\n".join(["", *lines[:3], "  ", lines[3], "  # note", lines[4], "", ""]))
     assert read_results_csv(path) == rows
 
 
