@@ -19,9 +19,8 @@ from .geometry import Field, Metric
 from .harness import (
     _SPACE_METRICS,
     ExperimentSpec,
-    ReferenceTable,
+    _cells,
     _check_space,
-    compare_reference,
     evaluate_file,
     export,
     read_results_csv,
@@ -122,14 +121,12 @@ def build_parser() -> _Parser:
 def _cmd_bound(args) -> int:
     _check_space(args.space, args.metric, args.field, args.K_values)
     out = []
-    for d in args.d_values:
-        for K in args.K_values:
-            for N in args.N_values:
-                report = asdict(cell_bound(args.space, args.metric, args.field, d, K, N))
-                out.append({
-                    "d": d, "K": K, "N": N, "field": args.field.value, "metric": args.metric.value,
-                    **{k: v for k, v in report.items() if v is not None},  # degrees: lines only
-                })
+    for d, K, N in _cells(args.space, args.d_values, args.K_values, args.N_values):
+        report = asdict(cell_bound(args.space, args.metric, args.field, d, K, N))
+        out.append({
+            "d": d, "K": K, "N": N, "field": args.field.value, "metric": args.metric.value,
+            **{k: v for k, v in report.items() if v is not None},  # degrees: lines only
+        })
     print(json.dumps(out if len(out) > 1 else out[0], indent=2))
     return 0
 
@@ -146,8 +143,6 @@ def _cmd_solve(args) -> int:
     if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
         raise InvalidInput(f"--out {args.out} must name a file in an existing directory")
     rows = run_experiment(spec)
-    if mu_source == "reference_file":
-        rows = compare_reference(rows, ReferenceTable.load(spec.reference_path))
     note = (
         f"space={spec.space} field={spec.field.value} metric={spec.metric.value} "
         f"trials={spec.trials} max_iter={spec.max_iterations} "

@@ -313,28 +313,34 @@ def _solve_cell(spec: ExperimentSpec, sweep: list) -> list:
     return [report for chunk in solved for report in chunk]
 
 
-def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """Run every (d, K, N) cell of the spec and aggregate per-cell rows.
-
-    A grassmann spec keeps only its cells with K < d, and one that keeps
-    none raises InvalidInput.  Cells whose reference row is missing are
-    reported as warning rows with NaN values and every trial counted
-    failed.  Aggregation is independent of trial completion order; rows
-    come back sorted by (d, K, N).
-    """
-    ref = ReferenceTable.load(spec.reference_path) if spec.mu_source == "reference_file" else None
+def _cells(space: str, d_values, K_values, N_values) -> list:
+    """The (d, K, N) cells of a run, sorted.  A grassmann run keeps only its
+    cells with K < d, and one that keeps none raises InvalidInput."""
     cells = sorted(
         (d, K, N)
-        for d in spec.d_values
-        for K in spec.K_values
-        for N in spec.N_values
-        if K < d or spec.space != "grassmann"
+        for d in d_values
+        for K in K_values
+        for N in N_values
+        if K < d or space != "grassmann"
     )
     if not cells:
         raise InvalidInput(
-            f"no cell to solve: a grassmann cell needs K < d, got d={list(spec.d_values)}, "
-            f"K={list(spec.K_values)}"
+            f"no cell to solve: a grassmann cell needs K < d, got d={list(d_values)}, "
+            f"K={list(K_values)}"
         )
+    return cells
+
+
+def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
+    """Run every cell of the spec (:func:`_cells`) and aggregate per-cell rows.
+
+    Cells whose reference row is missing are reported as warning rows with
+    NaN values and every trial counted failed.  A reference run fills
+    ``error_vs_reference`` from the table that gave mu.  Aggregation is
+    independent of trial completion order.
+    """
+    ref = ReferenceTable.load(spec.reference_path) if spec.mu_source == "reference_file" else None
+    cells = _cells(spec.space, spec.d_values, spec.K_values, spec.N_values)
     # Every cell's mu values and solve parameters first, one SolveParams per
     # (cell, mu), so a bad reference, bound or swept mu fails before any trial.
     mus = [_derive_mu(spec, ref, d, K, N) for d, K, N in cells]
@@ -369,7 +375,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 trials_failed=failed,
             )
         )
-    return rows
+    return rows if ref is None else compare_reference(rows, ref)
 
 
 def compare_reference(results: list[ResultRow], ref: ReferenceTable) -> list[ResultRow]:

@@ -101,17 +101,11 @@ class SpectralSetSpec:
             raise InvalidInput(f"trace target must be positive, got {self.trace_target}")
 
 
-# The K=2 solve makes four Newton runs, one per row of these tables: from
-# both ends of the concave part [a, c2 / 2] of its quartic, then from both
-# ends of the convex part [max(a, c2 / 2), c2].  The tables give each run's
-# direction of travel, the sign of q'' on its part, and whether it starts at
-# an end of [a, c2].  A run has converged when its step is below _PLANE_TOL
-# of its iterate, and gives up after _PLANE_STEPS steps; near a double root
-# it converges linearly with ratio 1/2, in about 55 steps from the far end
-# of a part.
-_AHEAD = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-_SIGN = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-_OUTER = np.array([[True], [False], [False], [True]])
+# The two Newton runs of the K=2 solve: each one's direction of travel and
+# the sign of q'' on its part.  Near a double root a run converges linearly
+# with ratio 1/2, in about 55 steps from the far end of its part.
+_AHEAD = np.array([[1.0], [-1.0]])
+_SIGN = np.array([[-1.0], [1.0]])
 _PLANE_TOL = 4.0 * np.finfo(float).eps
 _PLANE_STEPS = 100
 
@@ -122,42 +116,42 @@ def _plane_quartic(s, c1m, c2, mm):
     return s2 * s * (s - c2) + (c1m * s - mm), s2 * (4.0 * s - 3.0 * c2) + c1m
 
 
-def _plane_candidates(c1, c2, m):
-    """Every stationary point of the K=2 program, as a (4, P) array of its
-    coordinate y2 = s (then y1 = m / s), NaN where a run finds none.
+def _plane_root(c1, c2, m):
+    """Each row's K=2 solution as its coordinate y2 = s (then y1 = m / s);
+    NaN where the runs do not settle it.
 
-    Row p has c1[p] >= c2[p] and the product cap m < c1 c2.  With y1 y2 = m,
-    stationarity y1 (y1 - c1) = y2 (y2 - c2) = -t for a multiplier t >= 0
-    is q(s) = 0 with s in [a, c2], a = m / c1, and q(a) < 0 < q(c2).  As
-    q'' = 6 s (2 s - c2), q is concave on [a, c2 / 2] (empty when
-    a >= c2 / 2) and convex on [max(a, c2 / 2), c2], so each part holds at
-    most two roots.  Each run starts at an end of a part where q has the
-    sign of q'' (Fourier's condition), so its Newton iterates move
-    monotonically toward the nearest root in the part; a run whose step
-    points backwards, or passes the far end of its part, has none to find.
-    A run stops when its step falls below _PLANE_TOL of its iterate or q
-    changes sign, which only rounding can make it do.  Two rules cover
-    rounding at the ends of [a, c2]: a run that starts there with q of the
-    wrong sign already sits on a root, and without a concave part the run
-    from c2 accepts a if it passes it, as the one root then lies within
-    rounding of a.  Each entry depends only on its own row.
+    Row p has c1[p] >= c2[p] and m < c1 c2.  With y1 y2 = m, stationarity is
+    q(s) = 0 on [a, c2], a = m / c1, where q(a) < 0 < q(c2).  The solution,
+    the stationary point with y1 on its larger root (see
+    :func:`solve_fs_block`), is the smallest root: on that branch
+    log y1 + log y2 rises strictly in y2 (at a rate of at least
+    1 / y2 - 1 / (c2 - y2) > 0 below c2 / 2, and 1 / y2 above), and a point
+    with y1 on its smaller root has a lower product at its own y2.
+
+    q is concave on [a, c2 / 2] (empty when a >= c2 / 2) and convex on
+    [max(a, c2 / 2), c2], as q'' = 6 s (2 s - c2).  Each run starts where q
+    has the sign of q'' (Fourier's condition), so its iterates move
+    monotonically: from a to the concave part's smallest root, from c2 to
+    the convex part's largest.  If the run from a steps backwards or passes
+    c2 / 2, the concave part has no root and the convex part one, the run
+    from c2's; if it settles nothing in _PLANE_STEPS steps the row is NaN.
+    A run stops when its step is below _PLANE_TOL of its iterate or q
+    changes sign (only rounding does that).  At the ends of [a, c2], a run
+    starting with q of the wrong sign sits on a root, and without a concave
+    part the run from c2 accepts a if it passes it.  Each entry depends only
+    on its own row.
     """
-    a = m / c1
-    half = 0.5 * c2
+    a, half = m / c1, 0.5 * c2
     concave = a < half
-    start = np.empty((4, len(c1)))
-    start[0], start[1], start[2], start[3] = a, half, np.maximum(a, half), c2
-    far = start[[1, 0, 3, 2]]  # the other end of each run's part
+    s = np.stack([a, c2])
+    far = np.stack([half, np.maximum(a, half)])  # the other end of each run's part
     c1m, mm = c1 * m, m * m
-    enabled = np.ones(start.shape, dtype=bool)
-    enabled[:3] = concave
-    accept_far = np.zeros(start.shape, dtype=bool)
-    accept_far[3] = ~concave
+    enabled = np.stack([concave, np.ones_like(concave)])
+    accept_far = np.stack([np.zeros_like(concave), ~concave])
 
-    s = start
     q, dq = _plane_quartic(s, c1m, c2, mm)
     side = q * _SIGN
-    root = np.where(enabled & ((q == 0.0) | (_OUTER & (side < 0.0))), s, np.nan)
+    root = np.where(enabled & ((q == 0.0) | (side < 0.0)), s, np.nan)
     live = enabled & (side > 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_PLANE_STEPS):
@@ -174,7 +168,8 @@ def _plane_candidates(c1, c2, m):
             root = np.where(live & (crossed | np.where(past, accept_far, small)), s_new, root)
             live &= ~(past | crossed | small)
             s = s_new
-    return root
+    none_concave = np.isnan(root[0]) & ~live[0]
+    return np.where(none_concave, root[1], root[0])
 
 
 # Multiplier scan for the K >= 3 block solve, as fractions of its upper end min(c)^2 / 4.
@@ -235,17 +230,14 @@ def _refine_roots(c, branch, target, lo, hi, f_lo, f_hi):
 
 
 def _scan_block(cs, target):
-    """Each row's least-cost stationary point, by scanning the multiplier t;
-    NaN rows where none is found.
+    """Each row's least-cost stationary point with every coordinate on its
+    larger root, or only the first argmin of c on its smaller root (see
+    :func:`solve_fs_block`); NaN rows where none is found.
 
-    Stationary points satisfy exp(x_k) * (exp(x_k) - c_k) = -t for a single
-    multiplier t in [0, min(c)^2 / 4]; for each t and coordinate this
-    quadratic has two roots, and a second-order argument shows at most one
-    coordinate may sit on the smaller root.  A 160-point geometric scan of t
-    brackets the active-constraint root on the all-larger-roots branch
-    (monotone in t) and every sign change on each one-smaller-root branch,
-    for all rows at once.  All brackets are then refined together by a
-    safeguarded Newton-bisection in t, using
+    A 160-point geometric scan of the multiplier t in [0, min(c)^2 / 4]
+    brackets the root on the all-larger branch (monotone in t) and every
+    sign change on the other, for all rows at once; a safeguarded
+    Newton-bisection in t refines all brackets together, using
     d/dt log y_plus = -1 / (sqrt(c^2 - 4t) * y_plus).
     """
     P = len(cs)
@@ -259,22 +251,22 @@ def _scan_block(cs, target):
     excess = total - target
     p_all = np.nonzero(excess[:, -1] <= 0.0)[0]
     i_all = np.argmax(excess[p_all] <= 0.0, axis=1)
-    # One-smaller-root branches: sign changes over the positive grid points.
-    gaps = (np.log(grid[:, 1:]) + total[:, 1:] - target)[:, :, None] - 2.0 * log_plus[:, 1:]
-    gaps = gaps.transpose(0, 2, 1)  # (P, K, 160)
-    p_sm, j_sm, i_sm = np.nonzero(np.diff(np.sign(gaps), axis=2) != 0)
-    p_end, j_end = np.nonzero(np.abs(gaps[:, :, -1]) < 1e-12)
+    # One-smaller-root branch: sign changes over the positive grid points.
+    low = np.argmin(cs, axis=1)
+    gaps = np.log(grid[:, 1:]) + total[:, 1:] - target - 2.0 * log_plus[np.arange(P), 1:, low]
+    p_sm, i_sm = np.nonzero(np.diff(np.sign(gaps), axis=1) != 0)
+    p_end = np.nonzero(np.abs(gaps[:, -1]) < 1e-12)[0]
 
     row = np.concatenate([p_all, p_sm])
-    branch = np.concatenate([np.full(len(p_all), -1), j_sm])
+    branch = np.concatenate([np.full(len(p_all), -1), low[p_sm]])
     lo = np.concatenate([grid[p_all, i_all - 1], grid[p_sm, i_sm + 1]])
     hi = np.concatenate([grid[p_all, i_all], grid[p_sm, i_sm + 2]])
-    f_lo = np.concatenate([excess[p_all, i_all - 1], gaps[p_sm, j_sm, i_sm]])
-    f_hi = np.concatenate([excess[p_all, i_all], gaps[p_sm, j_sm, i_sm + 1]])
+    f_lo = np.concatenate([excess[p_all, i_all - 1], gaps[p_sm, i_sm]])
+    f_hi = np.concatenate([excess[p_all, i_all], gaps[p_sm, i_sm + 1]])
     t = _refine_roots(cs[row], branch, target, lo, hi, f_lo, f_hi)
 
     row = np.concatenate([row, p_end])
-    branch = np.concatenate([branch, j_end])
+    branch = np.concatenate([branch, low[p_end]])
     t = np.concatenate([t, t_max[p_end]])
 
     y = _plus_root(cs[row], t[:, None])
@@ -282,7 +274,7 @@ def _scan_block(cs, target):
     y[small, branch[small]] = t[small] / _plus_root(cs[row[small], branch[small]], t[small])
     cost = 0.5 * np.sum((y - cs[row]) ** 2, axis=1)
     # Stable sort: a cost tie goes to the earlier candidate, the all-larger
-    # branch first, then the smaller root on the lowest coordinate.
+    # branch first, then the smaller-root branch's least t.
     by_cost = np.lexsort((cost, row))
     has = np.zeros(P, dtype=bool)
     has[row] = True
@@ -299,13 +291,21 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     minimizes 0.5 * ||exp(x) - c||^2 subject to sum(x) <= log(mu), and every
     row must have prod(c) > mu, so the constraint is active at the solution.
 
-    K = 1 is closed form.  For K = 2 (planes) the stationary points are the
-    roots of one quartic, all found by :func:`_plane_candidates`; for K >= 3 a
-    scan of the multiplier brackets them (:func:`_scan_block`).  Each row
-    keeps its least-cost candidate, is moved exactly onto the constraint
-    through its largest coordinate, and must meet stationarity to 1e-8.  A
-    row with a non-finite value, no candidate, or a larger residual raises
-    NumericalFailure.  Each row's result does not depend on the other rows.
+    Stationary points have y_k (y_k - c_k) = -t, y = exp(x), for one
+    multiplier t in [0, min(c)^2 / 4], so each y_k is the larger root
+    y+(c_k, t) >= c_k / 2 or the smaller root t / y+(c_k, t) <= c_k / 2.  A
+    minimizer's y is ordered like c, since swapping an out-of-order y_i and
+    y_j lowers the cost by 2 (y_i - y_j)(c_j - c_i); and for c_i < c_j the
+    smaller root of c_j lies below both roots of c_i, so below y_i.  Only a
+    coordinate with the smallest c may take its smaller root.
+
+    K = 1 is closed form, K = 2 takes the smallest root of one quartic
+    (:func:`_plane_root`), and K >= 3 scans the multiplier
+    (:func:`_scan_block`).  Each row is then moved exactly onto the
+    constraint through its largest coordinate and must meet stationarity to
+    1e-8; a row with a non-finite value, no solution, or a larger residual
+    raises NumericalFailure.  Each row's result does not depend on the
+    other rows.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim not in (1, 2) or c.size < 1:
@@ -325,9 +325,7 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     if K == 2:
         m = math.exp(target)
         c1, c2 = np.maximum(cs[:, 0], cs[:, 1]), np.minimum(cs[:, 0], cs[:, 1])
-        roots = _plane_candidates(c1, c2, m)
-        cost = np.where(np.isnan(roots), np.inf, (m / roots - c1) ** 2 + (roots - c2) ** 2)
-        s = roots[np.argmin(cost, axis=0), np.arange(P)]  # a tie goes to the earlier run
+        s = _plane_root(c1, c2, m)
         y = np.stack([m / s, s], axis=1)
         swap = cs[:, 0] < cs[:, 1]
         y[swap] = y[swap, ::-1]

@@ -45,6 +45,41 @@ def fs_block_oracle_k2(c, mu, n_grid=4001, refine=160):
     return objective(0.5 * (a + b))
 
 
+def fs_block_oracle(c, mu, rng, n_random=12):
+    """Least cost found for the determinant-capped nearness program, any K.
+
+    Minimizes 0.5 * ||exp(x) - c||^2 subject to sum(x) <= log(mu) by SLSQP
+    from several starts: the even split of the excess sum(log c) - log(mu),
+    each coordinate taking all of it, and ``n_random`` random splits.  Each
+    local solution is shifted evenly onto the constraint before its cost is
+    taken, so the value returned is the cost of a feasible point.
+    """
+    from scipy.optimize import minimize
+
+    c = np.asarray(c, dtype=float)
+    K = len(c)
+    log_c, log_mu = np.log(c), math.log(mu)
+    excess = float(np.sum(log_c)) - log_mu
+    splits = [np.full(K, 1.0 / K), *np.eye(K), *rng.dirichlet(np.ones(K), size=n_random)]
+
+    def cost(x):
+        return 0.5 * float(np.sum((np.exp(x) - c) ** 2))
+
+    def grad(x):
+        y = np.exp(x)
+        return (y - c) * y
+
+    bounds = [(None, v + 1.0) for v in log_c]  # y above c costs more and raises the product
+    cap = {"type": "ineq", "fun": lambda x: log_mu - np.sum(x), "jac": lambda x: -np.ones(K)}
+    best = math.inf
+    for w in splits:
+        res = minimize(cost, log_c - w * excess, jac=grad, method="SLSQP", bounds=bounds,
+                       constraints=[cap], options={"ftol": 1e-16, "maxiter": 1000})
+        x = res.x - max(float(np.sum(res.x)) - log_mu, 0.0) / K
+        best = min(best, cost(x))
+    return best
+
+
 def random_hermitian(n, field, rng, scale=1.0):
     A = gaussian_matrix(n, n, field, rng) * scale
     return (A + A.conj().T) / 2

@@ -35,6 +35,18 @@ def test_bound_projective_degrees(capsys):
     assert out["degrees"] == pytest.approx(70.5288, abs=1e-3)
 
 
+def test_bound_takes_the_cells_solve_takes(capsys):
+    # A grassmann cell with K >= d is dropped, as solve drops it, and the
+    # kept cells come out sorted.
+    args = ["--space", "grassmann", "-d", "5,3,4", "-K", "3", "-N", "4"]
+    assert main(["bound", *args]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [(e["d"], e["K"], e["N"]) for e in out] == [(4, 3, 4), (5, 3, 4)]
+    assert harness._cells("grassmann", (5, 3, 4), (3,), (4,)) == [(4, 3, 4), (5, 3, 4)]
+    assert main(["bound", "--space", "grassmann", "-d", "3", "-K", "3", "-N", "4"]) == 1
+    assert "no cell to solve" in capsys.readouterr().err
+
+
 def test_bound_empty_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bound", "--space", "projective", "-d", "3", "-N", "5..4"])
@@ -157,6 +169,24 @@ def test_solve_missing_reference_exit_2(tmp_path, capsys):
         "--out", str(tmp_path / "r.csv"),
     ])
     assert code == 2
+
+
+def test_solve_reads_the_reference_file_once(monkeypatch, tmp_path):
+    ref = tmp_path / "refs.csv"
+    ref.write_text("3,1,4,70.529,degrees\n")
+    loads = []
+    load = harness.ReferenceTable.load
+    monkeypatch.setattr(harness.ReferenceTable, "load",
+                        staticmethod(lambda path: loads.append(path) or load(path)))
+    out_path = tmp_path / "r.csv"
+    code = main([
+        "solve", "--space", "projective", "-d", "3", "-N", "4", "--mu-from-ref", str(ref),
+        "--trials", "1", "--max-iter", "50", "--seed", "1", "--out", str(out_path),
+    ])
+    assert code == 0
+    assert loads == [str(ref)]
+    (row,) = read_results_csv(out_path)
+    assert row.error_vs_reference == 70.529 - row.best_diameter
 
 
 def test_solve_requires_single_mu_source(tmp_path):

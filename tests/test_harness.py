@@ -2,6 +2,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,12 +219,14 @@ def test_grassmann_k1_cells_report_degrees(tmp_path):
 
     path = tmp_path / "refs.csv"
     path.write_text("3,1,4,70.529,degrees\n")
-    rows = run_experiment(_grassmann_lines(mu_source="reference_file", reference_path=str(path)))
-    (row,) = compare_reference(rows, ReferenceTable.load(path))
+    # A reference run fills error_vs_reference itself, as compare_reference would.
+    (row,) = run_experiment(_grassmann_lines(mu_source="reference_file", reference_path=str(path)))
     assert abs(row.error_vs_reference) < 0.5  # degrees minus degrees
+    (again,) = compare_reference([row], ReferenceTable.load(path))
+    assert again.error_vs_reference == row.error_vs_reference
 
     (series,) = export([row], "plot_data", tmp_path, timestamp=False)
-    n, achieved, bound, reference = open(series).read().strip().split("\n")[1].split(",")
+    n, achieved, bound, reference = Path(series).read_text().strip().split("\n")[1].split(",")
     assert float(achieved) == row.best_diameter
     assert float(bound) == pytest.approx(bound_deg)
     assert float(reference) == pytest.approx(70.529)
@@ -371,7 +374,7 @@ def test_evaluate_file_parse_error(tmp_path):
 def test_export_csv_two_lines(tmp_path):
     rows = [_row()]
     paths = export(rows, "csv", tmp_path, timestamp=False)
-    text = open(paths[0]).read().strip().split("\n")
+    text = Path(paths[0]).read_text().strip().split("\n")
     assert len(text) == 2
     assert text[0].startswith("d,K,N,field,metric,mu_target")
 
@@ -403,7 +406,7 @@ def test_failed_writes_leave_existing_files_intact(monkeypatch, tmp_path):
 
     rows = [_row(d=4, K=2, N=n, field="complex") for n in (3, 4)]
     (series,) = export(rows, "plot_data", tmp_path, timestamp=False)
-    before_series = open(series, "rb").read()
+    before_series = Path(series).read_bytes()
     bounds = []
 
     def failing_bound(row):
@@ -416,7 +419,7 @@ def test_failed_writes_leave_existing_files_intact(monkeypatch, tmp_path):
     with pytest.raises(RuntimeError):
         export([_row(d=4, K=2, N=n, field="complex", best_diameter=1.1) for n in (3, 4)],
                "plot_data", tmp_path, timestamp=False)
-    assert open(series, "rb").read() == before_series
+    assert Path(series).read_bytes() == before_series
 
     config_path = tmp_path / "config.json"
     config = Configuration(field=Field.REAL, blocks=np.eye(3).reshape(3, 3, 1))
@@ -469,7 +472,7 @@ def test_export_plot_data_series(tmp_path):
     ]
     paths = export(rows, "plot_data", tmp_path, timestamp=False)
     assert len(paths) == 1
-    lines = open(paths[0]).read().strip().split("\n")
+    lines = Path(paths[0]).read_text().strip().split("\n")
     assert lines[0] == "N,achieved,bound,reference"
     assert len(lines) == 1 + 18
     first = lines[1].split(",")

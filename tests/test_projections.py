@@ -11,7 +11,7 @@ from grasspack.projections import (
     SpectralSetSpec,
     StructuralSetSpec,
     _cap_blocks,
-    _plane_candidates,
+    _plane_root,
     _spectral_stack,
     _water_fill,
     project_spectral,
@@ -21,6 +21,7 @@ from grasspack.projections import (
 from grasspack.starts import gaussian_matrix
 
 from tests.oracles import (
+    fs_block_oracle,
     fs_block_oracle_k2,
     gather_chordal_cap,
     random_hermitian,
@@ -353,28 +354,68 @@ PLANE_CASES = {
 def test_fs_plane_candidates_are_every_root(case):
     c1, c2, mu = PLANE_CASES[case]
     m = math.exp(math.log(mu) - 1e-12)
-    found = _plane_candidates(np.array([c1]), np.array([c2]), m)[:, 0]
-    found = np.unique(found[np.isfinite(found)])
-    # Sign changes of the multiplier mismatch y2 (y2 - c2) - y1 (y1 - c1),
-    # with y1 = m / y2, over a dense grid, refined around s = 0.45 where the
-    # close pair of roots sits.
+    s = _plane_root(np.array([c1]), np.array([c2]), m)[0]
+    # Every stationary point is a sign change of the multiplier mismatch
+    # y2 (y2 - c2) - y1 (y1 - c1), with y1 = m / y2, over a dense grid,
+    # refined around s = 0.45 where the close pair of roots sits.  The
+    # solution is the first, and no other costs less.
     close = np.linspace(0.45 - 2e-6, 0.45 + 2e-6, 4001)
     grid = np.union1d(np.linspace(m / c1, c2, 200_001), close)
     grid = grid[(grid >= m / c1) & (grid <= c2)]
     y1 = m / grid
     mismatch = grid * (grid - c2) - y1 * (y1 - c1)
     brackets = np.nonzero(np.diff(np.sign(mismatch)) != 0)[0]
-    assert len(found) == len(brackets) >= 1
-    for s, i in zip(found, brackets):
-        assert grid[i] - 1e-12 <= s <= grid[i + 1] + 1e-12
+    assert len(brackets) >= 1
+    assert grid[brackets[0]] - 1e-12 <= s <= grid[brackets[0] + 1] + 1e-12
+    near = np.where(np.abs(mismatch[brackets]) <= np.abs(mismatch[brackets + 1]),
+                    grid[brackets], grid[brackets + 1])
+    costs = (m / near - c1) ** 2 + (near - c2) ** 2
+    assert np.all(costs[0] <= costs[1:] + 1e-9)  # with c1 = c2, mirrored roots tie
     if case == "roots_5e-7_apart":
-        assert len(found) == 3 and 0.0 < found[2] - found[1] < 1e-6
+        assert len(brackets) == 3 and 0.0 < grid[brackets[2]] - grid[brackets[1]] < 1e-6
     if case == "no_concave_part":
         assert m / c1 >= c2 / 2
     c = np.array([c1, c2])
     x = solve_fs_block(c, mu)
     achieved = 0.5 * float(np.sum((np.exp(x) - c) ** 2))
     assert achieved <= fs_block_oracle_k2(c, mu) + 1e-10
+
+
+def test_fs_plane_run_out_of_steps_fails(monkeypatch):
+    # Two steps leave the run from a short of its root, which is the
+    # solution, while the run from c2 has already found the larger root.
+    c, mu = np.array([0.85, 0.66]), 0.85 * 0.66 * 1.2e-5
+    assert np.exp(solve_fs_block(c, mu))[1] < 1e-5
+    monkeypatch.setattr(projections, "_PLANE_STEPS", 2)
+    with pytest.raises(NumericalFailure, match="no stationary point"):
+        solve_fs_block(c, mu)
+
+
+def _oracle_rows(rng, K):
+    """(c, mu) rows: random, near-tied and exactly tied smallest values, and
+    mu down to 1e-12."""
+    rows = []
+    while len(rows) < 24:
+        c = rng.uniform(0.05, 1.2, K)
+        kind = len(rows) % 4
+        if kind == 1:
+            c[np.argsort(c)[1]] = np.min(c) * (1.0 + 1e-9)
+        elif kind == 2:
+            c[np.argsort(c)[1]] = np.min(c)
+        mu = 10.0 ** rng.uniform(-12.0, -6.0) if kind == 3 else 10.0 ** rng.uniform(-4.0, -0.05)
+        if np.prod(c) > mu * 1.001:
+            rows.append((c, mu))
+    rows.append((np.full(K, 0.7), 1e-3))
+    return rows
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_fs_block_vs_multistart_oracle(K):
+    rng = np.random.default_rng(40 + K)
+    for c, mu in _oracle_rows(rng, K):
+        x = solve_fs_block(c, mu)
+        achieved = 0.5 * float(np.sum((np.exp(x) - c) ** 2))
+        assert achieved <= fs_block_oracle(c, mu, rng) + 1e-10
 
 
 def test_fs_block_barely_over_the_cap():
