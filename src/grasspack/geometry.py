@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput, NotPSD, ParseError, RankExceeded
-from .linalg import hermitian_eig, qr_orthonormal, symmetrize
+from .errors import InvalidInput, NotPSD, ParseError, RankDeficient, RankExceeded, SingularBlock
+from .linalg import _qr_stack, hermitian_eig, symmetrize
 
 __all__ = [
     "Field",
@@ -194,8 +194,13 @@ def block_cosines(G: GramMatrix) -> np.ndarray:
     Row p holds the K principal-angle cosines, nonincreasing, of the p-th
     pair m < n.  They are not clamped: roundoff may leave them just above 1.
     """
-    iu, ju = upper_block_indices(G.N)
-    return np.linalg.svd(as_blocks(G.entries, G.K, G.N)[iu, ju], compute_uv=False)
+    return _block_cosines(G.entries, G.K, G.N)
+
+
+def _block_cosines(A: np.ndarray, K: int, N: int) -> np.ndarray:
+    """:func:`block_cosines` of each member of a (..., KN, KN) stack."""
+    iu, ju = upper_block_indices(N)
+    return np.linalg.svd(as_blocks(A, K, N)[..., iu, ju, :, :], compute_uv=False)
 
 
 def cosine_distances(c: np.ndarray, metric: Metric) -> np.ndarray:
@@ -313,13 +318,27 @@ def dist(S: np.ndarray, T: np.ndarray, metric: Metric) -> float:
 
 def packing_diameter(config: Configuration, metric: Metric) -> float:
     """Minimum pairwise distance within a configuration."""
-    return float(np.min(cosine_distances(block_cosines(gram(config)), metric)))
+    return float(_packing_diameters(config.blocks, metric))
+
+
+def _packing_diameters(blocks: np.ndarray, metric: Metric) -> np.ndarray:
+    """:func:`packing_diameter` of each member of a (..., N, d, K) stack."""
+    N, _, K = blocks.shape[-3:]
+    c = _block_cosines(symmetrize(_gram_entries(blocks)), K, N)
+    return np.min(cosine_distances(c, metric), axis=-1)
+
+
+def _gram_entries(blocks: np.ndarray) -> np.ndarray:
+    """X*X of each member of a (..., N, d, K) stack, X its collated frames."""
+    N, d, K = blocks.shape[-3:]
+    X = np.swapaxes(blocks, -3, -2).reshape(blocks.shape[:-3] + (d, N * K))
+    return np.swapaxes(X.conj(), -1, -2) @ X
 
 
 def gram(config: Configuration) -> GramMatrix:
     """Gram matrix G = X*X of a configuration."""
-    X = config.matrix
-    return GramMatrix(field=config.field, K=config.K, N=config.N, entries=X.conj().T @ X)
+    entries = _gram_entries(config.blocks)
+    return GramMatrix(field=config.field, K=config.K, N=config.N, entries=entries)
 
 
 def factor(G: GramMatrix, d: int) -> Configuration:
@@ -334,24 +353,35 @@ def factor(G: GramMatrix, d: int) -> Configuration:
     """
     if d < 1:
         raise InvalidInput("ambient dimension must be >= 1")
-    K, N = G.K, G.N
-    eye = np.eye(K)
-    for n in range(N):
-        if np.max(np.abs(G.block(n, n) - eye)) > 1e-6:
-            raise InvalidInput(f"diagonal block {n} is not the identity within 1e-06")
-    w, U = hermitian_eig(G.entries)
-    lam1 = max(float(w[0]), 0.0)
-    if float(w[-1]) < -1e-8 * max(lam1, 1e-300):
-        raise NotPSD(f"most negative eigenvalue {w[-1]:.3e} exceeds tolerance")
-    kn = K * N
-    if kn > d and float(w[d]) > 1e-6 * max(lam1, 1e-300):
-        raise RankExceeded(f"eigenvalue {d + 1} is {w[d]:.3e}, above rank tolerance")
-    r = min(d, kn)
-    weights = np.sqrt(np.clip(w[:r], 0.0, None))
-    X = np.zeros((d, kn), dtype=G.field.dtype)
-    X[:r] = weights[:, None] * U[:, :r].conj().T
-    blocks = np.stack([qr_orthonormal(X[:, n * K : (n + 1) * K]) for n in range(N)])
+    try:
+        blocks = _factor_stack(G.entries[None], d, G.K, G.N)[0]
+    except SingularBlock as exc:  # G's diagonal is the caller's to normalize
+        raise InvalidInput(str(exc)) from exc
     return Configuration(field=G.field, blocks=blocks)
+
+
+def _factor_stack(A: np.ndarray, d: int, K: int, N: int) -> np.ndarray:
+    """:func:`factor` of each member of a (T, KN, KN) stack, as (T, N, d, K)
+    frames; raises for the first member that fails a check, and a diagonal
+    block off the identity is SingularBlock, since normalizing it failed."""
+    idx = np.arange(N)
+    off = np.max(np.abs(as_blocks(A, K, N)[:, idx, idx] - np.eye(K)), axis=(-2, -1)) > 1e-6
+    if np.any(off):
+        n = np.argwhere(off)[0, 1]
+        raise SingularBlock(f"diagonal block {n} is not the identity within 1e-06")
+    w, U = hermitian_eig(A)
+    floor = np.maximum(np.maximum(w[:, 0], 0.0), 1e-300)
+    if np.any(w[:, -1] < -1e-8 * floor):
+        raise NotPSD(f"most negative eigenvalue {np.min(w[:, -1]):.3e} exceeds tolerance")
+    if K * N > d and np.any(w[:, d] > 1e-6 * floor):
+        raise RankExceeded(f"eigenvalue {d + 1} is {np.max(w[:, d]):.3e}, above rank tolerance")
+    r = min(d, K * N)
+    X = np.zeros((len(A), d, K * N), dtype=A.dtype)
+    X[:, :r] = np.sqrt(np.clip(w[:, :r], 0.0, None))[..., None] * np.conj(U[..., :r].swapaxes(1, 2))
+    frames, ratio = _qr_stack(X.reshape(len(A), d, N, K).swapaxes(1, 2))
+    if np.any(ratio <= 1e-12):
+        raise RankDeficient(f"column rank deficient: sigma_min/sigma_max = {np.min(ratio):.3e}")
+    return frames
 
 
 def max_block_magnitude(G: GramMatrix, metric: Metric) -> float:

@@ -40,7 +40,11 @@ from .geometry import (
     read_configuration,
 )
 from .solver import TRIAL_FAILURES, SolveParams, _alternate_stack, _stack_trials, alternate
-from .starts import InitParams, initial_configuration
+from .starts import InitParams, _initial_configurations
+
+# Not called here, since starts are drawn a chunk at a time, but the
+# benchmark's tracer (perfbench/tracer.py) still wraps it.
+from .starts import initial_configuration  # noqa: F401
 
 __all__ = [
     "ExperimentSpec",
@@ -242,19 +246,22 @@ def _report_value(metric: Metric, K: int, report) -> float:
     return report.final_diameter**2
 
 
-def _trial_start(spec: ExperimentSpec, params: SolveParams, trial_index: int):
-    seed = _derive_trial_seed(spec.seed, trial_index)
-    init = InitParams(tau=_default_tau(spec, params.K), max_draws=spec.max_draws, seed=seed)
-    config = initial_configuration(
-        params.d, params.K, params.N, spec.field, init, signed_similarity=(spec.space == "sphere")
+def _starts(spec: ExperimentSpec, params: SolveParams, indices) -> dict:
+    """Start Gram matrices of the trials in ``indices`` whose starts were drawn."""
+    tau = _default_tau(spec, params.K)
+    inits = [InitParams(tau=tau, max_draws=spec.max_draws, seed=_derive_trial_seed(spec.seed, i))
+             for i in indices]
+    configs = _initial_configurations(
+        params.d, params.K, params.N, spec.field, inits, spec.space == "sphere"
     )
-    return gram(config)
+    return {i: gram(c) for i, c in zip(indices, configs) if not isinstance(c, InitFailure)}
 
 
 def _run_trial(spec: ExperimentSpec, params: SolveParams, trial_index: int):
+    start = _starts(spec, params, [trial_index]).get(trial_index)
     try:
-        return alternate(_trial_start(spec, params, trial_index), params)
-    except (InitFailure, *TRIAL_FAILURES):
+        return None if start is None else alternate(start, params)
+    except TRIAL_FAILURES:
         return None
 
 
@@ -262,15 +269,11 @@ def _run_chunk(spec: ExperimentSpec, params: SolveParams, indices) -> list:
     """Reports (None where a trial failed) of trials solved as one stack."""
     if len(indices) == 1:
         return [_run_trial(spec, params, indices[0])]
-    starts = {}
-    for idx in indices:
-        try:
-            starts[idx] = _trial_start(spec, params, idx).entries
-        except InitFailure:
-            pass
+    starts = _starts(spec, params, indices)
     solved = {}
     if starts:
-        solved = dict(zip(starts, _alternate_stack(np.stack(list(starts.values())), params)))
+        G0s = np.stack([g.entries for g in starts.values()])
+        solved = dict(zip(starts, _alternate_stack(G0s, params)))
     return [None if isinstance(r, Exception) else r for r in map(solved.get, indices)]
 
 

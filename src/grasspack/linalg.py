@@ -56,19 +56,25 @@ def qr_orthonormal(A: np.ndarray) -> np.ndarray:
     singular value falls at or below 1e-12 times the largest, so callers
     can redraw.
     """
+    if np.ndim(A) != 2:
+        raise InvalidInput(f"expected a tall d-by-K matrix, got shape {np.shape(A)}")
+    Q, ratio = _qr_stack(A)
+    if ratio <= 1e-12:
+        raise RankDeficient(f"column rank deficient: sigma_min/sigma_max = {ratio:.3e}")
+    return Q
+
+
+def _qr_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`qr_orthonormal` of each member of a (..., d, K) stack, exactly as
+    alone, with each member's sigma_min/sigma_max in place of the rank check."""
     A = np.asarray(A)
     _require_finite(A)
-    if A.ndim != 2 or A.shape[0] < A.shape[1]:
-        raise InvalidInput(f"expected a tall d-by-K matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-2] < A.shape[-1]:
+        raise InvalidInput(f"expected tall d-by-K matrices, got shape {A.shape}")
     sigma = np.linalg.svd(A, compute_uv=False)
-    if sigma[-1] <= 1e-12 * sigma[0]:
-        raise RankDeficient(
-            f"column rank deficient: sigma_min/sigma_max = {sigma[-1] / max(sigma[0], 1e-300):.3e}"
-        )
     Q, R = np.linalg.qr(A)
-    diag = np.diagonal(R).copy()
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
     # Phase-fix so the implicit R has positive diagonal entries.
-    safe = np.abs(diag) > 0
-    phase = np.ones_like(diag)
-    phase[safe] = diag[safe] / np.abs(diag[safe])
-    return Q * phase
+    mag = np.abs(diag)
+    phase = np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
+    return Q * phase[..., None, :], sigma[..., -1] / np.maximum(sigma[..., 0], 1e-300)

@@ -26,7 +26,8 @@ Validation runs at the boundary: starts are ``GramMatrix`` entries, and each
 final matrix becomes a ``GramMatrix`` again.  Inside the loop the iterates
 stay exactly Hermitian by construction (see ``projections``) and are not
 re-checked; a trial fails when its gap is not finite, as it is exactly when
-its structural iterate is not.
+its structural iterate is not.  The finish (normalize, factor, measure)
+also runs once per stack, one batched call per step, checks kept per trial.
 """
 
 from __future__ import annotations
@@ -41,24 +42,19 @@ from .geometry import (
     Field,
     GramMatrix,
     Metric,
+    _factor_stack,
+    _packing_diameters,
     _split_blocks,
-    factor,
-    max_block_magnitude,
+    as_blocks,
     min_angle,
-    packing_diameter,
 )
 from .linalg import symmetrize
-from .projections import (
-    _SCAN,
-    SpectralSetSpec,
-    StructuralSetSpec,
-    _cap_blocks,
-    _spectral_stack,
-    # Not called here since the loop works on plain arrays, but the
-    # benchmark's tracer (perfbench/tracer.py) still wraps these names.
-    project_spectral,  # noqa: F401
-    project_structural,  # noqa: F401
-)
+from .projections import _SCAN, SpectralSetSpec, StructuralSetSpec, _cap_blocks, _spectral_stack
+
+# Not called here, since the loop and the finish work on whole stacks of plain
+# arrays, but the benchmark's tracer (perfbench/tracer.py) still wraps them.
+from .geometry import factor, max_block_magnitude, packing_diameter  # noqa: F401
+from .projections import project_spectral, project_structural  # noqa: F401
 
 __all__ = ["SolveParams", "SolveReport", "alternate", "normalize_diagonal"]
 
@@ -106,20 +102,24 @@ def normalize_diagonal(G: GramMatrix) -> GramMatrix:
     diagonal block must be Hermitian positive definite with smallest
     eigenvalue at least 1e-10, otherwise the run is reported as failed.
     """
-    K, N = G.K, G.N
-    A = G.entries
+    out = _normalize_stack(G.entries[None], G.K, G.N)[0]
+    return GramMatrix(field=G.field, K=G.K, N=G.N, entries=out)
+
+
+def _normalize_stack(A: np.ndarray, K: int, N: int) -> np.ndarray:
+    """:func:`normalize_diagonal` of each member of an exactly Hermitian
+    (T, KN, KN) stack; raises for the first block that fails."""
+    idx = np.arange(N)
+    w, U = np.linalg.eigh(as_blocks(A, K, N)[:, idx, idx])
+    if np.any(w[..., 0] < 1e-10):
+        t, n = np.argwhere(w[..., 0] < 1e-10)[0]
+        raise SingularBlock(
+            f"diagonal block {n} has eigenvalue {w[t, n, 0]:.3e}, too small to normalize"
+        )
     W = np.zeros_like(A)
-    for n in range(N):
-        block = A[n * K : (n + 1) * K, n * K : (n + 1) * K]
-        w, U = np.linalg.eigh(block)
-        if float(w[0]) < 1e-10:
-            raise SingularBlock(
-                f"diagonal block {n} has eigenvalue {w[0]:.3e}, too small to normalize"
-            )
-        W[n * K : (n + 1) * K, n * K : (n + 1) * K] = (U / np.sqrt(w)) @ U.conj().T
+    as_blocks(W, K, N)[:, idx, idx] = (U / np.sqrt(w)[..., None, :]) @ np.swapaxes(U.conj(), -1, -2)
     # With a large W, W A W can miss the GramMatrix Hermitian tolerance.
-    out = symmetrize(W @ A @ W)
-    return GramMatrix(field=G.field, K=K, N=N, entries=out)
+    return symmetrize(W @ A @ W)
 
 
 # Exceptions that fail one trial; the rest of its stack goes on.
@@ -158,23 +158,39 @@ def _step(G, parts, V, struct: StructuralSetSpec, spectral: SpectralSetSpec):
         raise NumericalFailure(f"eigendecomposition of an iterate failed: {exc}") from exc
 
 
-def _finish(G, field: Field, params: SolveParams, iterations: int, gaps: list):
-    G_out = normalize_diagonal(GramMatrix(field=field, K=params.K, N=params.N, entries=G))
-    config = factor(G_out, params.d)
-    mu_achieved = max_block_magnitude(G_out, params.metric)
+def _finish(Gs: np.ndarray, params: SolveParams, iterations: list, gaps: list) -> list:
+    """Normalize, factor and measure a (T, KN, KN) stack of final iterates:
+    each trial's ``SolveReport``, or the ``TRIAL_FAILURES`` exception that
+    failed it.  A stack that fails a check or a decomposition is redone
+    trial by trial; a decomposition that fails alone is a NumericalFailure.
+    """
+    K, N, T = params.K, params.N, len(Gs)
+    try:
+        out = _normalize_stack(Gs, K, N)
+        frames = _factor_stack(out, params.d, K, N)
+    except (*TRIAL_FAILURES, np.linalg.LinAlgError) as exc:
+        if T > 1:
+            return [_finish(Gs[t : t + 1], params, iterations[t : t + 1], gaps[t : t + 1])[0]
+                    for t in range(T)]
+        if isinstance(exc, np.linalg.LinAlgError):
+            exc = NumericalFailure(f"decomposition of a final iterate failed: {exc}")
+        return [exc]
+    mu = np.max(_split_blocks(out, params.metric, K, N)[1].reshape(T, -1), axis=1).tolist()
     if params.metric is Metric.SPHERE:
-        diameter = min_angle(mu_achieved, Metric.SPHERE)
+        diameters = [min_angle(m, Metric.SPHERE) for m in mu]
     else:
-        diameter = packing_diameter(config, params.metric)
-    return SolveReport(
-        iterations_used=iterations,
-        gap_history=gaps,
-        stopped_early=iterations < params.max_iterations,
-        final_gram=G_out,
-        final_config=config,
-        final_diameter=diameter,
-        mu_achieved=mu_achieved,
-    )
+        diameters = _packing_diameters(frames, params.metric).tolist()
+    field = Field.COMPLEX if np.iscomplexobj(Gs) else Field.REAL
+    return [
+        SolveReport(
+            iterations_used=iterations[t], gap_history=gaps[t],
+            stopped_early=iterations[t] < params.max_iterations,
+            final_gram=GramMatrix(field=field, K=K, N=N, entries=out[t]),
+            final_config=Configuration(field=field, blocks=frames[t]),
+            final_diameter=diameters[t], mu_achieved=mu[t],
+        )
+        for t in range(T)
+    ]
 
 
 def _alternate_stack(G0s: np.ndarray, params: SolveParams) -> list:
@@ -234,17 +250,14 @@ def _alternate_stack(G0s: np.ndarray, params: SolveParams) -> list:
     for a, t in enumerate(live):
         outcome[t] = G[a]
 
-    field = Field.COMPLEX if np.iscomplexobj(G0s) else Field.REAL
-    reports = []
-    for t in range(T):
-        if isinstance(outcome[t], Exception):
-            reports.append(outcome[t])
-            continue
-        try:
-            reports.append(_finish(outcome[t], field, params, iterations[t], gaps[t]))
-        except TRIAL_FAILURES as exc:
-            reports.append(exc)
-    return reports
+    trials = [t for t in range(T) if not isinstance(outcome[t], Exception)]
+    if trials:
+        finals = np.stack([outcome[t] for t in trials])
+        reports = _finish(finals, params, [iterations[t] for t in trials],
+                          [gaps[t] for t in trials])
+        for t, report in zip(trials, reports):
+            outcome[t] = report
+    return outcome
 
 
 def alternate(G0: GramMatrix, params: SolveParams) -> SolveReport:

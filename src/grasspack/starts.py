@@ -3,7 +3,9 @@
 Subspaces are drawn uniformly by orthonormalizing Gaussian matrices; the
 starting-point sampler keeps a draw only when it is sufficiently far from
 everything accepted so far, and gives up (with a count of what it managed)
-once the draw budget is spent.
+once the draw budget is spent.  It serves several seeds at once, each
+drawing batches from its own stream, and keeps exactly what one
+:func:`random_subspace` call per draw would keep.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import InitFailure, InvalidInput, RankDeficient
 from .geometry import Configuration, Field
-from .linalg import qr_orthonormal
+from .linalg import _qr_stack, qr_orthonormal
 
 __all__ = ["InitParams", "random_subspace", "initial_configuration", "gaussian_matrix"]
 
@@ -42,11 +44,15 @@ def gaussian_matrix(d: int, K: int, field: Field, rng: np.random.Generator) -> n
     1/2 each, so the complex variance is one and the distribution is
     invariant under left multiplication by any fixed unitary.
     """
+    return _gaussian_stack(1, d, K, field, rng)[0]
+
+
+def _gaussian_stack(B: int, d: int, K: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+    """B :func:`gaussian_matrix` draws, the same stream as B calls."""
     if field is Field.COMPLEX:
-        return math.sqrt(0.5) * (
-            rng.standard_normal((d, K)) + 1j * rng.standard_normal((d, K))
-        )
-    return rng.standard_normal((d, K))
+        Z = rng.standard_normal((B, 2, d, K))
+        return math.sqrt(0.5) * (Z[:, 0] + 1j * Z[:, 1])
+    return rng.standard_normal((B, d, K))
 
 
 def random_subspace(d: int, K: int, field: Field, rng: np.random.Generator) -> np.ndarray:
@@ -58,6 +64,17 @@ def random_subspace(d: int, K: int, field: Field, rng: np.random.Generator) -> n
             return qr_orthonormal(gaussian_matrix(d, K, field, rng))
         except RankDeficient:
             continue  # probability-zero event; redraw
+
+
+def _similarities(Y: np.ndarray, X: np.ndarray, signed: bool) -> np.ndarray:
+    """(B, A) similarities of frames X (B, d, K) to Y (A, d, K), each rounded
+    as for one pair alone: ||Y*X||_F, or with ``signed`` Re (Y*X)[0, 0]."""
+    P = np.swapaxes(Y.conj(), -1, -2) @ X[:, None]
+    if signed:
+        return P.real[..., 0, 0]
+    v = P.reshape(P.shape[:2] + (1, P.shape[-2] * P.shape[-1]))
+    sq = v.real @ np.swapaxes(v.real, -1, -2) + v.imag @ np.swapaxes(v.imag, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def initial_configuration(
@@ -78,23 +95,44 @@ def initial_configuration(
     Raises InitFailure carrying the accepted count once ``max_draws`` draws
     are consumed.  Deterministic for a fixed seed.
     """
-    if params.tau > math.sqrt(K) + 1e-12:
-        raise InvalidInput(f"tau={params.tau} exceeds the maximum similarity sqrt(K)")
-    if signed_similarity and K != 1:
+    (start,) = _initial_configurations(d, K, N, field, [params], signed_similarity)
+    if isinstance(start, InitFailure):
+        raise start
+    return start
+
+
+def _initial_configurations(d, K, N, field: Field, inits: list, signed: bool) -> list:
+    """:func:`initial_configuration` for each of several ``InitParams``: its
+    Configuration or InitFailure.  A batch holds the draws still needed or
+    the draws made so far, whichever is more, and at most 32."""
+    if any(p.tau > math.sqrt(K) + 1e-12 for p in inits):
+        raise InvalidInput(f"tau exceeds the maximum similarity sqrt(K) = {math.sqrt(K):.6g}")
+    if signed and K != 1:
         raise InvalidInput("signed similarity applies to K = 1 points only")
-    rng = np.random.default_rng(params.seed)
-    accepted: list[np.ndarray] = []
-    for _ in range(params.max_draws):
-        X = random_subspace(d, K, field, rng)
-        if signed_similarity:
-            fits = all(float(np.real(Y.conj().T @ X)[0, 0]) <= params.tau for Y in accepted)
-        else:
-            fits = all(float(np.linalg.norm(Y.conj().T @ X)) <= params.tau for Y in accepted)
-        if fits:
-            accepted.append(X)
-            if len(accepted) == N:
-                return Configuration(field=field, blocks=np.stack(accepted))
-    raise InitFailure(
-        f"accepted only {len(accepted)} of {N} subspaces within {params.max_draws} draws",
-        accepted=len(accepted),
-    )
+    if not 1 <= K <= d:
+        raise InvalidInput(f"need 1 <= K <= d, got K={K}, d={d}")
+    rngs = [np.random.default_rng(p.seed) for p in inits]
+    kept = [np.empty((0, d, K), field.dtype)] * len(inits)
+    drawn, out = [0] * len(inits), [None] * len(inits)
+    live = range(len(inits))
+    while live:
+        sizes = [min(inits[t].max_draws - drawn[t], max(N - len(kept[t]), drawn[t]), 32)
+                 for t in live]
+        draws = [_gaussian_stack(B, d, K, field, rngs[t]) for t, B in zip(live, sizes)]
+        frames, ratio = _qr_stack(np.concatenate(draws))
+        cuts = np.cumsum(sizes)[:-1]
+        for t, F, r in zip(live, np.split(frames, cuts), np.split(ratio, cuts)):
+            F, A, new = F[r > 1e-12], len(kept[t]), []
+            # Row i: draw i against the A frames kept so far, then against this batch.
+            sims = _similarities(np.concatenate([kept[t], F]), F, signed)
+            for i, fits in enumerate((sims <= inits[t].tau).tolist()):
+                if A + len(new) < N and all(fits[:A]) and all(fits[A + j] for j in new):
+                    new.append(i)
+            kept[t], drawn[t] = np.concatenate([kept[t], F[new]]), drawn[t] + len(F)
+            if len(kept[t]) == N:
+                out[t] = Configuration(field=field, blocks=kept[t])
+            elif drawn[t] == inits[t].max_draws:
+                out[t] = InitFailure(f"accepted only {A + len(new)} of {N} subspaces within "
+                                     f"{drawn[t]} draws", accepted=A + len(new))
+        live = [t for t in live if out[t] is None]
+    return out

@@ -175,16 +175,20 @@ def test_workers_below_one_is_a_usage_error(monkeypatch, tmp_path):
 def test_factorization_error_counts_as_failed_trial(monkeypatch):
     import grasspack.solver as solver
 
-    real_factor = solver.factor
-    calls = []
+    real_factor_stack = solver._factor_stack
+    singles = []
 
-    def flaky_factor(G, d):
-        calls.append(d)
-        if len(calls) == 2:
+    def flaky_factor_stack(A, d, K, N):
+        # The three trials share one stack: fail it, then the second trial
+        # when the stack is redone trial by trial.
+        if len(A) > 1:
             raise NotPSD("injected")
-        return real_factor(G, d)
+        singles.append(1)
+        if len(singles) == 2:
+            raise NotPSD("injected")
+        return real_factor_stack(A, d, K, N)
 
-    monkeypatch.setattr(solver, "factor", flaky_factor)
+    monkeypatch.setattr(solver, "_factor_stack", flaky_factor_stack)
     spec = ExperimentSpec(
         space="projective", field=Field.REAL, metric=Metric.CHORDAL,
         d_values=(3,), N_values=(4,), trials=3,
@@ -194,10 +198,10 @@ def test_factorization_error_counts_as_failed_trial(monkeypatch):
     assert row.trials_failed == 1
     assert math.isfinite(row.best_diameter) and math.isfinite(row.avg_diameter)
 
-    def invalid_factor(G, d):
+    def invalid_factor_stack(A, d, K, N):
         raise InvalidInput("injected")
 
-    monkeypatch.setattr(solver, "factor", invalid_factor)
+    monkeypatch.setattr(solver, "_factor_stack", invalid_factor_stack)
     with pytest.raises(InvalidInput):
         run_experiment(spec)
 

@@ -3,7 +3,7 @@ import pytest
 
 from grasspack.errors import InvalidInput, RankDeficient
 from grasspack.geometry import Field
-from grasspack.linalg import hermitian_eig, qr_orthonormal
+from grasspack.linalg import _qr_stack, hermitian_eig, qr_orthonormal
 
 from tests.oracles import random_hermitian
 
@@ -71,3 +71,21 @@ def test_qr_orthonormal_rank_deficient():
     A = np.ones((4, 2))
     with pytest.raises(RankDeficient):
         qr_orthonormal(A)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_qr_stack_matches_qr_orthonormal_and_flags_rank_deficient_member(field):
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((3, 4, 5, 2))
+    if field is Field.COMPLEX:
+        A = A + 1j * rng.standard_normal((3, 4, 5, 2))
+    A[1, 2, :, 1] = 3.0 * A[1, 2, :, 0]
+    Q, ratio = _qr_stack(A)
+    assert Q.shape == A.shape and ratio.shape == (3, 4)
+    assert ratio[1, 2] <= 1e-12
+    with pytest.raises(RankDeficient):
+        qr_orthonormal(A[1, 2])
+    for idx in np.ndindex(3, 4):
+        if idx != (1, 2):
+            assert ratio[idx] > 1e-12
+            assert np.array_equal(Q[idx], qr_orthonormal(A[idx]))

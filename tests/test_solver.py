@@ -5,13 +5,15 @@ import pytest
 
 import grasspack.projections as projections
 from grasspack.bounds import mu_from_rho, rankin_chordal, rankin_spectral
-from grasspack.errors import InvalidInput, SingularBlock
-from grasspack.geometry import Field, GramMatrix, Metric, gram
+from grasspack.errors import InvalidInput, NumericalFailure, SingularBlock
+from grasspack.geometry import Field, GramMatrix, Metric, factor, gram
 from grasspack.solver import (
     _STACK_ELEMENTS,
+    TRIAL_FAILURES,
     SolveParams,
     SolveReport,
     _alternate_stack,
+    _finish,
     _stack_trials,
     alternate,
     normalize_diagonal,
@@ -162,7 +164,9 @@ def assert_same_report(a, b):
     assert a.iterations_used == b.iterations_used
     assert a.gap_history == b.gap_history
     assert np.array_equal(a.final_gram.entries, b.final_gram.entries)
+    assert np.array_equal(a.final_config.blocks, b.final_config.blocks)
     assert a.final_diameter == b.final_diameter
+    assert a.mu_achieved == b.mu_achieved
 
 
 def _below_bound_mu(N, fraction):
@@ -207,6 +211,53 @@ def test_stacked_trials_match_solo_solves(case):
     for G0, report in zip(starts, stacked):
         assert report.stopped_early == (report.iterations_used < cap)
         assert_same_report(report, alternate(G0, params))
+
+
+def _ill_conditioned_gram():
+    # Block 0's smallest eigenvalue (about 2e-10) clears the 1e-10 floor,
+    # but normalizing it leaves the block off the identity by more than 1e-6.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((4, 6))
+    X[:, 1] = 10 * X[:, 0] + 1e-4 * rng.standard_normal(4)
+    return X.T @ X
+
+
+def _good_gram():
+    X = np.random.default_rng(1).standard_normal((4, 6))
+    return X.T @ X
+
+
+FINISH_PARAMS = SolveParams(metric=Metric.CHORDAL, mu=0.5, d=4, K=2, N=3)
+
+
+def test_ill_conditioned_final_fails_only_its_trial():
+    bad, good = _ill_conditioned_gram(), _good_gram()
+    reports = _finish(np.stack([bad, good]), FINISH_PARAMS, [10, 7], [[], []])
+    assert isinstance(reports[0], TRIAL_FAILURES)
+    assert isinstance(reports[0], SingularBlock)
+    (solo,) = _finish(good[None], FINISH_PARAMS, [7], [[]])
+    assert_same_report(reports[1], solo)
+    normalized = normalize_diagonal(GramMatrix(field=Field.REAL, K=2, N=3, entries=bad))
+    with pytest.raises(InvalidInput, match="diagonal block 0"):
+        factor(normalized, 4)
+
+
+def test_failed_stacked_decomposition_is_redone_trial_by_trial(monkeypatch):
+    import grasspack.solver as solver
+
+    bad, good = _ill_conditioned_gram(), _good_gram()
+    real = solver._normalize_stack
+
+    def fragile(A, K, N):
+        if len(A) > 1 or np.array_equal(A[0], bad):
+            raise np.linalg.LinAlgError("injected")
+        return real(A, K, N)
+
+    (solo,) = _finish(good[None], FINISH_PARAMS, [7], [[]])
+    monkeypatch.setattr(solver, "_normalize_stack", fragile)
+    reports = _finish(np.stack([bad, good]), FINISH_PARAMS, [10, 7], [[], []])
+    assert isinstance(reports[0], NumericalFailure)
+    assert_same_report(reports[1], solo)
 
 
 @pytest.mark.parametrize("N", [3, 5, 8])

@@ -67,6 +67,47 @@ def test_no_constraint_tau_matches_plain_draws():
         assert np.array_equal(got, want)
 
 
+def _reference_draws(d, K, N, field, params, signed):
+    """The sampler one draw at a time: its frames, or the count it accepted."""
+    rng = np.random.default_rng(params.seed)
+    accepted = []
+    for _ in range(params.max_draws):
+        X = random_subspace(d, K, field, rng)
+        if signed:
+            fits = all(float(np.real(Y.conj().T @ X)[0, 0]) <= params.tau for Y in accepted)
+        else:
+            fits = all(float(np.linalg.norm(Y.conj().T @ X)) <= params.tau for Y in accepted)
+        if fits:
+            accepted.append(X)
+            if len(accepted) == N:
+                return np.stack(accepted)
+    return len(accepted)
+
+
+@pytest.mark.parametrize(
+    "d, K, N, field, tau, signed, max_draws",
+    [
+        (3, 1, 9, Field.REAL, 0.9, False, 10_000),
+        (3, 1, 6, Field.REAL, 0.5, True, 10_000),
+        (4, 2, 4, Field.COMPLEX, 0.95, False, 10_000),
+        (2, 1, 5, Field.REAL, 0.01, False, 100),  # infeasible
+        (3, 1, 8, Field.REAL, 0.1, True, 300),  # infeasible
+    ],
+)
+def test_batched_draws_match_one_draw_at_a_time(d, K, N, field, tau, signed, max_draws):
+    for seed in range(8):
+        params = InitParams(tau=tau, max_draws=max_draws, seed=seed)
+        want = _reference_draws(d, K, N, field, params, signed)
+        if isinstance(want, int):
+            with pytest.raises(InitFailure) as err:
+                initial_configuration(d, K, N, field, params, signed_similarity=signed)
+            assert err.value.accepted == want
+        else:
+            got = initial_configuration(d, K, N, field, params, signed_similarity=signed)
+            assert got.blocks.dtype == field.dtype
+            assert np.array_equal(got.blocks, want)
+
+
 def test_infeasible_tau_raises_init_failure():
     params = InitParams(tau=0.01, max_draws=100, seed=6)
     with pytest.raises(InitFailure) as err:
