@@ -126,6 +126,9 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("d_values", "K_values", "N_values"):
+            if not len(getattr(self, name)):
+                raise InvalidInput(f"{name} is empty")
         _check_space(self.space, self.metric, self.field, self.K_values)
         if self.mu_source not in ("reference_file", "rankin_bound", "explicit"):
             raise InvalidInput(f"unknown mu_source {self.mu_source!r}")
@@ -133,6 +136,11 @@ class ExperimentSpec:
             raise InvalidInput("mu_source=reference_file needs reference_path")
         if self.mu_source == "explicit" and self.mu_explicit is None:
             raise InvalidInput("mu_source=explicit needs mu_explicit")
+        # A mu input its source does not read would be silently ignored.
+        for name, source in (("reference_path", "reference_file"), ("mu_explicit", "explicit")):
+            if getattr(self, name) is not None and self.mu_source != source:
+                raise InvalidInput(f"{name} is read only with mu_source={source}, "
+                                   f"not {self.mu_source}")
         if self.sweep is not None:
             lo, hi, steps = self.sweep
             if not (lo > 0 and hi >= lo and int(steps) >= 1):

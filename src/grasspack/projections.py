@@ -101,77 +101,6 @@ class SpectralSetSpec:
             raise InvalidInput(f"trace target must be positive, got {self.trace_target}")
 
 
-# The two Newton runs of the K=2 solve: each one's direction of travel and
-# the sign of q'' on its part.  Near a double root a run converges linearly
-# with ratio 1/2, in about 55 steps from the far end of its part.
-_AHEAD = np.array([[1.0], [-1.0]])
-_SIGN = np.array([[-1.0], [1.0]])
-_PLANE_TOL = 4.0 * np.finfo(float).eps
-_PLANE_STEPS = 100
-
-
-def _plane_quartic(s, c1m, c2, mm):
-    """q(s) = s^3 (s - c2) + m (c1 s - m) and q'(s), given c1 m and m^2."""
-    s2 = s * s
-    return s2 * s * (s - c2) + (c1m * s - mm), s2 * (4.0 * s - 3.0 * c2) + c1m
-
-
-def _plane_root(c1, c2, m):
-    """Each row's K=2 solution as its coordinate y2 = s (then y1 = m / s);
-    NaN where the runs do not settle it.
-
-    Row p has c1[p] >= c2[p] and m < c1 c2.  With y1 y2 = m, stationarity is
-    q(s) = 0 on [a, c2], a = m / c1, where q(a) < 0 < q(c2).  The solution,
-    the stationary point with y1 on its larger root (see
-    :func:`solve_fs_block`), is the smallest root: on that branch
-    log y1 + log y2 rises strictly in y2 (at a rate of at least
-    1 / y2 - 1 / (c2 - y2) > 0 below c2 / 2, and 1 / y2 above), and a point
-    with y1 on its smaller root has a lower product at its own y2.
-
-    q is concave on [a, c2 / 2] (empty when a >= c2 / 2) and convex on
-    [max(a, c2 / 2), c2], as q'' = 6 s (2 s - c2).  Each run starts where q
-    has the sign of q'' (Fourier's condition), so its iterates move
-    monotonically: from a to the concave part's smallest root, from c2 to
-    the convex part's largest.  If the run from a steps backwards or passes
-    c2 / 2, the concave part has no root and the convex part one, the run
-    from c2's; if it settles nothing in _PLANE_STEPS steps the row is NaN.
-    A run stops when its step is below _PLANE_TOL of its iterate or q
-    changes sign (only rounding does that).  At the ends of [a, c2], a run
-    starting with q of the wrong sign sits on a root, and without a concave
-    part the run from c2 accepts a if it passes it.  Each entry depends only
-    on its own row.
-    """
-    a, half = m / c1, 0.5 * c2
-    concave = a < half
-    s = np.stack([a, c2])
-    far = np.stack([half, np.maximum(a, half)])  # the other end of each run's part
-    c1m, mm = c1 * m, m * m
-    enabled = np.stack([concave, np.ones_like(concave)])
-    accept_far = np.stack([np.zeros_like(concave), ~concave])
-
-    q, dq = _plane_quartic(s, c1m, c2, mm)
-    side = q * _SIGN
-    root = np.where(enabled & ((q == 0.0) | (side < 0.0)), s, np.nan)
-    live = enabled & (side > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_PLANE_STEPS):
-            if not live.any():
-                break
-            step = q / dq
-            live &= step * _AHEAD < 0.0
-            s_new = s - step
-            past = (s_new - far) * _AHEAD >= 0.0
-            s_new = np.where(past, far, s_new)
-            q, dq = _plane_quartic(s_new, c1m, c2, mm)
-            crossed = q * _SIGN <= 0.0
-            small = np.abs(step) <= _PLANE_TOL * s
-            root = np.where(live & (crossed | np.where(past, accept_far, small)), s_new, root)
-            live &= ~(past | crossed | small)
-            s = s_new
-    none_concave = np.isnan(root[0]) & ~live[0]
-    return np.where(none_concave, root[1], root[0])
-
-
 # Multiplier scan for the K >= 3 block solve, as fractions of its upper end min(c)^2 / 4.
 _SCAN = np.geomspace(1e-40, 1.0, 160)
 
@@ -181,39 +110,32 @@ def _plus_root(c, t):
     return 0.5 * (c + np.sqrt(np.maximum(c * c - 4.0 * t, 0.0)))
 
 
-def _refine_roots(c, branch, target, lo, hi, f_lo, f_hi):
+# Step cap of the safeguarded Newton-bisection.  Bisection alone closes a
+# scan bracket (relative width below 0.8) to 1e-12 in about 40 steps.
+_REFINE_STEPS = 100
+
+
+def _refine_roots(fdf, lo, hi, f_lo, f_hi):
     """Safeguarded Newton-bisection on every bracket [lo, hi] at once.
 
-    Row i of ``c`` holds the singular values of problem i.  Branch -1 puts
-    every coordinate on its larger root y_plus; branch j >= 0 puts coordinate
-    j on its smaller root t / y_plus (Vieta, avoiding cancellation).  The
-    residual is the log-product of the coordinates minus ``target``; it has
-    the values ``f_lo`` and ``f_hi``, of opposite signs, at the bracket ends.
-
-    Each problem takes the Newton step in t when it lands strictly inside its
-    bracket and bisects otherwise; a step shorter than half the stop
-    tolerance 1e-12 * t is lengthened to it, so a one-sided Newton approach
-    still closes the bracket.  A problem stops when its bracket is within the
-    tolerance or its residual is exactly zero, and returns the bracket end
-    with the smaller residual.
+    ``fdf(t)`` returns each row's residual and its derivative at t; the
+    residual has the values ``f_lo`` and ``f_hi``, of opposite signs, at the
+    bracket ends.  Each row starts from false position, takes the Newton step
+    when it lands strictly inside its bracket and bisects otherwise; a step
+    shorter than half the stop tolerance 1e-12 * t is lengthened to it, so a
+    one-sided Newton approach still closes the bracket.  A row stops when its
+    bracket is within the tolerance or its residual is exactly zero, and
+    returns the bracket end with the smaller residual; a row whose bracket
+    has not closed in _REFINE_STEPS steps returns NaN.
     """
-    small = (branch >= 0).astype(float)
-    weight = np.ones_like(c)
-    on_small = np.nonzero(branch >= 0)[0]
-    weight[on_small, branch[on_small]] = -1.0
-    t = lo - f_lo * (hi - lo) / (f_hi - f_lo)  # false position: inside when signs differ
-    t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
-    t = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, t))
     done = (f_lo == 0.0) | (f_hi == 0.0)
     rising = f_lo < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
-            root = np.sqrt(np.maximum(c * c - 4.0 * t[:, None], 0.0))
-            y_plus = 0.5 * (c + root)
-            f = np.sum(weight * np.log(y_plus), axis=1) + small * np.log(t) - target
-            # d/dt log y_plus = -1 / (root * y_plus): infinite at the branch
-            # point c^2 = 4t, where the Newton step is rejected for bisection.
-            df = small / t - np.sum(weight / (root * y_plus), axis=1)
+        t = lo - f_lo * (hi - lo) / (f_hi - f_lo)  # false position: inside when signs differ
+        t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
+        t = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, t))
+        for _ in range(_REFINE_STEPS):
+            f, df = fdf(t)
             below = (f < 0.0) == rising  # the root lies above t
             lo, f_lo = np.where(below, t, lo), np.where(below, f, f_lo)
             hi, f_hi = np.where(below, hi, t), np.where(below, f_hi, f)
@@ -226,7 +148,7 @@ def _refine_roots(c, branch, target, lo, hi, f_lo, f_hi):
             t_new = t + step
             newton = (t_new > lo) & (t_new < hi)
             t = np.where(done, t, np.where(newton, t_new, 0.5 * (lo + hi)))
-    return np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+    return np.where(done, np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi), np.nan)
 
 
 def _scan_block(cs, target):
@@ -236,8 +158,8 @@ def _scan_block(cs, target):
 
     A 160-point geometric scan of the multiplier t in [0, min(c)^2 / 4]
     brackets the root on the all-larger branch (monotone in t) and every
-    sign change on the other, for all rows at once; a safeguarded
-    Newton-bisection in t refines all brackets together, using
+    sign change on the other, for all rows at once, and
+    :func:`_refine_roots` refines all brackets together in t, using
     d/dt log y_plus = -1 / (sqrt(c^2 - 4t) * y_plus).
     """
     P = len(cs)
@@ -263,7 +185,24 @@ def _scan_block(cs, target):
     hi = np.concatenate([grid[p_all, i_all], grid[p_sm, i_sm + 2]])
     f_lo = np.concatenate([excess[p_all, i_all - 1], gaps[p_sm, i_sm]])
     f_hi = np.concatenate([excess[p_all, i_all], gaps[p_sm, i_sm + 1]])
-    t = _refine_roots(cs[row], branch, target, lo, hi, f_lo, f_hi)
+    # A candidate's residual is the log-product of its coordinates minus the
+    # target: each on its larger root y_plus, except one on its smaller root
+    # t / y_plus (Vieta, avoiding cancellation) off the all-larger branch.
+    c = cs[row]
+    small = (branch >= 0).astype(float)
+    weight = np.ones_like(c)
+    on_small = np.nonzero(branch >= 0)[0]
+    weight[on_small, branch[on_small]] = -1.0
+
+    def fdf(t):
+        root = np.sqrt(np.maximum(c * c - 4.0 * t[:, None], 0.0))
+        y_plus = 0.5 * (c + root)
+        # d/dt log y_plus = -1 / (root * y_plus): infinite at the branch
+        # point c^2 = 4t, where the Newton step is rejected for bisection.
+        return (np.sum(weight * np.log(y_plus), axis=1) + small * np.log(t) - target,
+                small / t - np.sum(weight / (root * y_plus), axis=1))
+
+    t = _refine_roots(fdf, lo, hi, f_lo, f_hi)
 
     row = np.concatenate([row, p_end])
     branch = np.concatenate([branch, low[p_end]])
@@ -299,9 +238,15 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     smaller root of c_j lies below both roots of c_i, so below y_i.  Only a
     coordinate with the smallest c may take its smaller root.
 
-    K = 1 is closed form, K = 2 takes the smallest root of one quartic
-    (:func:`_plane_root`), and K >= 3 scans the multiplier
-    (:func:`_scan_block`).  Each row is then moved exactly onto the
+    K = 1 is closed form, and K >= 3 scans the multiplier
+    (:func:`_scan_block`).  For K = 2 let c1 >= c2, m = exp(log(mu) - 1e-12)
+    and s = y2, so t = s (c2 - s) and y1 = y+(c1, t) >= c1 / 2.  On this
+    branch phi(s) = log s + log y1 - log m rises strictly in s: as
+    sqrt(c1^2 - 4t) >= |c2 - 2s| and y1 >= c2 - s, its derivative
+    1 / s - (c2 - 2s) / (sqrt(c1^2 - 4t) y1) is at least
+    1 / s - 1 / (c2 - s) > 0 below c2 / 2 and at least 1 / s above.  As
+    phi(m / c1) < 0 < phi(c2), the solution is its one root in [m / c1, c2],
+    which :func:`_refine_roots` finds.  Each row is then moved exactly onto the
     constraint through its largest coordinate and must meet stationarity to
     1e-8; a row with a non-finite value, no solution, or a larger residual
     raises NumericalFailure.  Each row's result does not depend on the
@@ -325,7 +270,15 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     if K == 2:
         m = math.exp(target)
         c1, c2 = np.maximum(cs[:, 0], cs[:, 1]), np.minimum(cs[:, 0], cs[:, 1])
-        s = _plane_root(c1, c2, m)
+
+        def phi(s):
+            root = np.sqrt(np.maximum(c1 * c1 - 4.0 * s * (c2 - s), 0.0))
+            y1 = 0.5 * (c1 + root)
+            return np.log(s) + np.log(y1) - target, 1.0 / s - (c2 - 2.0 * s) / (root * y1)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_ends = phi(np.stack([m / c1, c2]))[0]
+        s = _refine_roots(phi, m / c1, c2, *f_ends)
         y = np.stack([m / s, s], axis=1)
         swap = cs[:, 0] < cs[:, 1]
         y[swap] = y[swap, ::-1]

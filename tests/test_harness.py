@@ -506,6 +506,27 @@ def test_spec_validation():
                        mu_source="explicit")  # missing mu_explicit
 
 
+LINES = dict(space="projective", field=Field.REAL, metric=Metric.CHORDAL,
+             d_values=(3,), N_values=(4,))
+
+
+@pytest.mark.parametrize("inputs, field", [
+    (dict(mu_source="rankin_bound", mu_explicit=0.3), "mu_explicit"),
+    (dict(mu_source="reference_file", reference_path="ref.csv", mu_explicit=0.3), "mu_explicit"),
+    (dict(mu_source="explicit", mu_explicit=0.3, reference_path="ref.csv"), "reference_path"),
+    (dict(mu_source="rankin_bound", reference_path="ref.csv"), "reference_path"),
+])
+def test_spec_rejects_a_mu_input_its_source_does_not_read(inputs, field):
+    with pytest.raises(InvalidInput, match=field):
+        ExperimentSpec(**LINES, **inputs)
+
+
+@pytest.mark.parametrize("field", ["d_values", "K_values", "N_values"])
+def test_spec_rejects_empty_values(field):
+    with pytest.raises(InvalidInput, match=f"{field} is empty"):
+        ExperimentSpec(**{**LINES, field: ()})
+
+
 def test_sweep_cell_reports_match_solo_solves():
     spec = ExperimentSpec(
         space="grassmann", field=Field.COMPLEX, metric=Metric.SPECTRAL,

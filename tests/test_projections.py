@@ -11,7 +11,6 @@ from grasspack.projections import (
     SpectralSetSpec,
     StructuralSetSpec,
     _cap_blocks,
-    _plane_root,
     _spectral_stack,
     _water_fill,
     project_spectral,
@@ -314,8 +313,8 @@ def test_fs_block_batched_matches_row_by_row(K):
     rng = np.random.default_rng(15)
     for mu in (1e-6, 0.02, 0.3):
         # Small and large mu: rows land on the all-larger branch and on
-        # one-smaller-root branches, with and without a concave part of the
-        # K=2 quartic.
+        # one-smaller-root branches, and K=2 brackets [m / c1, c2] that start
+        # below and above c2 / 2.
         c = _infeasible_rows(rng, K, mu, 30)
         x = solve_fs_block(c, mu)
         assert x.shape == c.shape
@@ -327,7 +326,8 @@ def test_fs_block_batched_matches_row_by_row(K):
 
 
 def _close_roots_plane():
-    """(c1, c2, mu) whose quartic has two roots 5e-7 apart near s = 0.45.
+    """(c1, c2, mu) whose stationarity quartic s^3 (s - c2) + m (c1 s - m)
+    has two roots 5e-7 apart near s = 0.45.
 
     With c2 = 0.8, m0 = sqrt(r^3 (2 c2 - 3 r)) and c1 = (3 c2 r^2 - 4 r^3) / m0
     the quartic has a double root at r = 0.45 in its convex part; lowering
@@ -354,7 +354,9 @@ PLANE_CASES = {
 def test_fs_plane_candidates_are_every_root(case):
     c1, c2, mu = PLANE_CASES[case]
     m = math.exp(math.log(mu) - 1e-12)
-    s = _plane_root(np.array([c1]), np.array([c2]), m)[0]
+    c = np.array([c1, c2])
+    x = solve_fs_block(c, mu)
+    s = math.exp(x[1])
     # Every stationary point is a sign change of the multiplier mismatch
     # y2 (y2 - c2) - y1 (y1 - c1), with y1 = m / y2, over a dense grid,
     # refined around s = 0.45 where the close pair of roots sits.  The
@@ -375,18 +377,16 @@ def test_fs_plane_candidates_are_every_root(case):
         assert len(brackets) == 3 and 0.0 < grid[brackets[2]] - grid[brackets[1]] < 1e-6
     if case == "no_concave_part":
         assert m / c1 >= c2 / 2
-    c = np.array([c1, c2])
-    x = solve_fs_block(c, mu)
     achieved = 0.5 * float(np.sum((np.exp(x) - c) ** 2))
     assert achieved <= fs_block_oracle_k2(c, mu) + 1e-10
 
 
 def test_fs_plane_run_out_of_steps_fails(monkeypatch):
-    # Two steps leave the run from a short of its root, which is the
-    # solution, while the run from c2 has already found the larger root.
+    # Two steps leave the bracket [m / c1, c2] of the solution, near its
+    # lower end, far from closed.
     c, mu = np.array([0.85, 0.66]), 0.85 * 0.66 * 1.2e-5
     assert np.exp(solve_fs_block(c, mu))[1] < 1e-5
-    monkeypatch.setattr(projections, "_PLANE_STEPS", 2)
+    monkeypatch.setattr(projections, "_REFINE_STEPS", 2)
     with pytest.raises(NumericalFailure, match="no stationary point"):
         solve_fs_block(c, mu)
 
@@ -418,10 +418,11 @@ def test_fs_block_vs_multistart_oracle(K):
         assert achieved <= fs_block_oracle(c, mu, rng) + 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fs_block_barely_over_the_cap():
-    # A block within a few ulps of the cap puts the K=2 quartic's root within
-    # rounding of an end of its interval, where the rounded quartic can have
-    # the wrong sign.
+    # A block within a few ulps of the cap puts the K=2 root within rounding
+    # of an end of its bracket, where the rounded residual can have the
+    # wrong sign or equal the other end's.
     eps = np.finfo(float).eps
     rows = [([0.5925873487845916, 0.24815580945443455], 0.14705399321024473)]
     rng = np.random.default_rng(21)
