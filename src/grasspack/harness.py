@@ -77,7 +77,7 @@ def _check_space(space: str, metric: Metric, field: Field, K_values) -> None:
         names = ", ".join(m.value for m in metrics)
         got = getattr(metric, "value", metric)
         raise InvalidInput(f"{space} experiments take the metrics ({names}), got {got}")
-    if space != "grassmann" and tuple(K_values) != (1,):
+    if space != "grassmann" and set(K_values) != {1}:
         raise InvalidInput(f"{space} experiments require K=1, got K={list(K_values)}")
     if space == "sphere" and field is not Field.REAL:
         raise InvalidInput("sphere experiments are real-valued")
@@ -325,15 +325,15 @@ def _solve_cell(spec: ExperimentSpec, sweep: list) -> list:
 
 
 def _cells(space: str, d_values, K_values, N_values) -> list:
-    """The (d, K, N) cells of a run, sorted.  A grassmann run keeps only its
-    cells with K < d, and one that keeps none raises InvalidInput."""
-    cells = sorted(
+    """The distinct (d, K, N) cells of a run, sorted.  A grassmann run keeps
+    only its cells with K < d, and one that keeps none raises InvalidInput."""
+    cells = sorted({
         (d, K, N)
         for d in d_values
         for K in K_values
         for N in N_values
         if K < d or space != "grassmann"
-    )
+    })
     if not cells:
         raise InvalidInput(
             f"no cell to solve: a grassmann cell needs K < d, got d={list(d_values)}, "

@@ -19,15 +19,16 @@ pruned and redone with the iterates): the first iteration decomposes each
 iterate in full, and later ones refine the carried basis by certified
 subspace iteration, at most 21 products with the iterate, falling back to
 the full decomposition for any trial whose certificate fails (see
-``projections``).  A trial that meets the cap leaves
-the stack; a trial whose step fails fails alone.  Each trial's report is
-bit-identical to solving it alone, and ``alternate`` is the one-trial call.
+``projections``).  A trial that meets the cap leaves the stack.  The finish
+(normalize, factor, measure) also runs once per stack, one batched call per
+step.  Each trial's report is bit-identical to solving it alone, and
+``alternate`` is the one-trial call; so a stack in which any trial fails is
+solved again trial by trial, and only the trials that fail alone fail.
 Validation runs at the boundary: starts are ``GramMatrix`` entries, and each
 final matrix becomes a ``GramMatrix`` again.  Inside the loop the iterates
 stay exactly Hermitian by construction (see ``projections``) and are not
 re-checked; a trial fails when its gap is not finite, as it is exactly when
-its structural iterate is not.  The finish (normalize, factor, measure)
-also runs once per stack, one batched call per step, checks kept per trial.
+its structural iterate is not.
 """
 
 from __future__ import annotations
@@ -144,37 +145,50 @@ def _stack_trials(metric: Metric, K: int, N: int) -> int:
     return max(1, _STACK_ELEMENTS // per_trial)
 
 
-def _step(G, parts, V, struct: StructuralSetSpec, spectral: SpectralSetSpec):
-    """Structural then spectral projection of a live stack, from the
-    structural pass's parts and the previous top eigenbases ``V``:
-    (gap per trial, next iterates, their top eigenbases)."""
-    H = _cap_blocks(G, struct, parts)
-    gaps = np.linalg.norm(G - H, axis=(-2, -1))
-    if not np.all(np.isfinite(gaps)):
-        raise NumericalFailure("structural projection gave a non-finite iterate")
-    try:
-        return (gaps, *_spectral_stack(H, spectral, V))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition of an iterate failed: {exc}") from exc
+def _iterate(G0s: np.ndarray, params: SolveParams) -> tuple:
+    """The loop over a (T, KN, KN) stack of starts, with no fallback: the
+    final iterates, iterations used and gap histories of its trials."""
+    struct = StructuralSetSpec(metric=params.metric, mu=params.mu, K=params.K, N=params.N)
+    spectral = SpectralSetSpec(d=params.d, trace_target=float(params.K * params.N))
+    limit = params.mu + params.stop_slack
+    T = len(G0s)
+    finals: list = [None] * T
+    iterations = [params.max_iterations] * T
+    gaps: list = [[] for _ in range(T)]
+    live = np.arange(T)
+    G = np.asarray(G0s)
+    V = None  # top eigenbases of the live iterates, when the spectral step keeps them
+    for it in range(params.max_iterations):
+        parts = _split_blocks(G, params.metric, params.K, params.N)
+        done = np.max(parts[1].reshape(len(G), -1), axis=1) <= limit
+        if np.any(done):
+            for a in np.flatnonzero(done):
+                t = live[a]
+                finals[t], iterations[t] = G[a].copy(), it
+            keep = ~done
+            live, G = live[keep], G[keep]
+            parts = tuple(None if x is None else x[keep] for x in parts)
+            V = None if V is None else V[keep]
+            if not live.size:
+                break
+        H = _cap_blocks(G, struct, parts)
+        step_gaps = np.linalg.norm(G - H, axis=(-2, -1))
+        if not np.all(np.isfinite(step_gaps)):
+            raise NumericalFailure("structural projection gave a non-finite iterate")
+        G, V = _spectral_stack(H, spectral, V)
+        for t, gap in zip(live.tolist(), step_gaps.tolist()):
+            gaps[t].append(gap)
+    for a, t in enumerate(live):
+        finals[t] = G[a]
+    return np.stack(finals), iterations, gaps
 
 
-def _finish(Gs: np.ndarray, params: SolveParams, iterations: list, gaps: list) -> list:
-    """Normalize, factor and measure a (T, KN, KN) stack of final iterates:
-    each trial's ``SolveReport``, or the ``TRIAL_FAILURES`` exception that
-    failed it.  A stack that fails a check or a decomposition is redone
-    trial by trial; a decomposition that fails alone is a NumericalFailure.
-    """
+def _finish(Gs: np.ndarray, iterations: list, gaps: list, params: SolveParams) -> list:
+    """Normalize, factor and measure a (T, KN, KN) stack of final iterates,
+    one batched call per step, checks kept per trial: their ``SolveReport``s."""
     K, N, T = params.K, params.N, len(Gs)
-    try:
-        out = _normalize_stack(Gs, K, N)
-        frames = _factor_stack(out, params.d, K, N)
-    except (*TRIAL_FAILURES, np.linalg.LinAlgError) as exc:
-        if T > 1:
-            return [_finish(Gs[t : t + 1], params, iterations[t : t + 1], gaps[t : t + 1])[0]
-                    for t in range(T)]
-        if isinstance(exc, np.linalg.LinAlgError):
-            exc = NumericalFailure(f"decomposition of a final iterate failed: {exc}")
-        return [exc]
+    out = _normalize_stack(Gs, K, N)
+    frames = _factor_stack(out, params.d, K, N)
     mu = np.max(_split_blocks(out, params.metric, K, N)[1].reshape(T, -1), axis=1).tolist()
     if params.metric is Metric.SPHERE:
         diameters = [min_angle(m, Metric.SPHERE) for m in mu]
@@ -197,67 +211,24 @@ def _alternate_stack(G0s: np.ndarray, params: SolveParams) -> list:
     """Run the alternating projection from T starts at once.
 
     ``G0s`` is a (T, KN, KN) stack of exactly Hermitian start matrices, such
-    as ``GramMatrix`` entries.  Returns one entry per trial: its
-    ``SolveReport``, or the ``TRIAL_FAILURES`` exception that failed it.  Any
-    other exception propagates.
+    as ``GramMatrix`` entries.  Returns each trial's ``SolveReport``, or the
+    ``TRIAL_FAILURES`` exception that failed it; other exceptions propagate.
 
-    When a stacked step fails, that step is redone trial by trial and only
-    the trials that fail alone leave with their exception.
+    The one failure rule: a stack in which any trial fails, in the loop or
+    the finish, is solved again trial by trial, so the other trials keep
+    their (bit-identical) reports and a lone trial returns its exception, a
+    ``LinAlgError`` as a NumericalFailure.  A failure adds an all-solo
+    re-solve (2-core VM, seed 20): an ``fs_c4`` N=5 cell takes 0.30 s
+    stacked and 2.08 s solo, ``lines_rp`` d=3 N=12 1.03 s and 2.58 s.
     """
-    struct = StructuralSetSpec(metric=params.metric, mu=params.mu, K=params.K, N=params.N)
-    spectral = SpectralSetSpec(d=params.d, trace_target=float(params.K * params.N))
-    limit = params.mu + params.stop_slack
-    T = len(G0s)
-    outcome: list = [None] * T  # final iterate, or the exception that failed the trial
-    iterations = [params.max_iterations] * T
-    gaps: list = [[] for _ in range(T)]
-    live = np.arange(T)
-    G = np.asarray(G0s)
-    V = None  # top eigenbases of the live iterates, when the spectral step keeps them
-    for it in range(params.max_iterations):
-        parts = _split_blocks(G, params.metric, params.K, params.N)
-        done = np.max(parts[1].reshape(len(G), -1), axis=1) <= limit
-        if np.any(done):
-            for a in np.flatnonzero(done):
-                t = live[a]
-                outcome[t], iterations[t] = G[a].copy(), it
-            keep = ~done
-            live, G = live[keep], G[keep]
-            parts = tuple(None if x is None else x[keep] for x in parts)
-            V = None if V is None else V[keep]
-            if not live.size:
-                break
-        try:
-            step_gaps, G, V = _step(G, parts, V, struct, spectral)
-        except NumericalFailure:
-            solved = []
-            for a, t in enumerate(live):
-                one = tuple(None if x is None else x[a : a + 1] for x in parts)
-                Va = None if V is None else V[a : a + 1]
-                try:
-                    solved.append((t, *_step(G[a : a + 1], one, Va, struct, spectral)))
-                except NumericalFailure as exc:
-                    outcome[t] = exc
-            if not solved:
-                live = live[:0]
-                break
-            live = np.array([t for t, _, _, _ in solved])
-            step_gaps = np.concatenate([g for _, g, _, _ in solved])
-            G = np.concatenate([Gn for _, _, Gn, _ in solved])
-            V = None if solved[0][3] is None else np.concatenate([Vn for _, _, _, Vn in solved])
-        for t, gap in zip(live.tolist(), step_gaps.tolist()):
-            gaps[t].append(gap)
-    for a, t in enumerate(live):
-        outcome[t] = G[a]
-
-    trials = [t for t in range(T) if not isinstance(outcome[t], Exception)]
-    if trials:
-        finals = np.stack([outcome[t] for t in trials])
-        reports = _finish(finals, params, [iterations[t] for t in trials],
-                          [gaps[t] for t in trials])
-        for t, report in zip(trials, reports):
-            outcome[t] = report
-    return outcome
+    try:
+        return _finish(*_iterate(G0s, params), params)
+    except (*TRIAL_FAILURES, np.linalg.LinAlgError) as exc:
+        if len(G0s) > 1:
+            return [_alternate_stack(G0s[t : t + 1], params)[0] for t in range(len(G0s))]
+        if isinstance(exc, np.linalg.LinAlgError):
+            exc = NumericalFailure(f"decomposition of an iterate failed: {exc}")
+        return [exc]
 
 
 def alternate(G0: GramMatrix, params: SolveParams) -> SolveReport:

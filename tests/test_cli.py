@@ -47,6 +47,18 @@ def test_bound_takes_the_cells_solve_takes(capsys):
     assert "no cell to solve" in capsys.readouterr().err
 
 
+def test_repeated_values_give_each_cell_once(tmp_path, capsys):
+    shape = ["--space", "projective", "-d", "3,3", "-K", "1,1", "-N", "4,3,4"]
+    assert harness._cells("projective", (3, 3), (1, 1), (4, 3, 4)) == [(3, 1, 3), (3, 1, 4)]
+    assert main(["bound", *shape]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [(e["d"], e["K"], e["N"]) for e in out] == [(3, 1, 3), (3, 1, 4)]
+    out_path = tmp_path / "results.csv"
+    assert main(["solve", *shape, "--mu-from-bound", "--trials", "1", "--max-iter", "50",
+                 "--out", str(out_path)]) == 0
+    assert [(r.d, r.K, r.N) for r in read_results_csv(out_path)] == [(3, 1, 3), (3, 1, 4)]
+
+
 def test_bound_empty_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bound", "--space", "projective", "-d", "3", "-N", "5..4"])

@@ -9,6 +9,7 @@ import pytest
 
 import grasspack.harness as harness
 import grasspack.projections as projections
+import grasspack.solver as solver
 from grasspack.bounds import rankin_projective
 from grasspack.cli import main
 from grasspack.errors import InvalidInput, NotPSD, NumericalFailure, ParseError
@@ -566,19 +567,21 @@ FS_PARAMS = SolveParams(
     ("solve_fs_block", NumericalFailure("injected")),  # the batched block solve raises
     ("solve_fs_block", None),  # it returns NaN: a non-finite structural iterate
     ("hermitian_eig", np.linalg.LinAlgError("injected")),  # the stacked eigh raises
+    ("_split_blocks", np.linalg.LinAlgError("injected")),  # the stop check's block SVD raises
 ])
 def test_one_failing_trial_fails_alone(monkeypatch, site, error):
     bad = 3
     solo = [harness._run_trial(FS_SPEC, FS_PARAMS, k) for k in range(FS_SPEC.trials)]
     item_dims = 1 if site == "solve_fs_block" else 2  # rows of singular values, or matrices
+    module = solver if site == "_split_blocks" else projections
 
     def items(x):
         return x.reshape(-1, *x.shape[x.ndim - item_dims:])
 
     # The items trial `bad` hands to the site first mark it inside any stack.
-    real = getattr(projections, site)
+    real = getattr(module, site)
     first = []
-    monkeypatch.setattr(projections, site, lambda x, *a: first.append(x.copy()) or real(x, *a))
+    monkeypatch.setattr(module, site, lambda x, *a: first.append(x.copy()) or real(x, *a))
     harness._run_trial(FS_SPEC, FS_PARAMS, bad)
     marked = {item.tobytes() for item in items(first[0])}
 
@@ -591,7 +594,7 @@ def test_one_failing_trial_fails_alone(monkeypatch, site, error):
             out[hit] = np.nan
         return out
 
-    monkeypatch.setattr(projections, site, faulty)
+    monkeypatch.setattr(module, site, faulty)
     reports = harness._solve_cell(FS_SPEC, [FS_PARAMS])
     assert reports[bad] is None
     for k in range(FS_SPEC.trials):

@@ -13,7 +13,6 @@ from grasspack.solver import (
     SolveParams,
     SolveReport,
     _alternate_stack,
-    _finish,
     _stack_trials,
     alternate,
     normalize_diagonal,
@@ -227,15 +226,17 @@ def _good_gram():
     return X.T @ X
 
 
-FINISH_PARAMS = SolveParams(metric=Metric.CHORDAL, mu=0.5, d=4, K=2, N=3)
+# Both starts already meet this cap, so they are finals at iteration 0.
+FINISH_PARAMS = SolveParams(metric=Metric.CHORDAL, mu=0.5, d=4, K=2, N=3, stop_slack=1e9)
 
 
 def test_ill_conditioned_final_fails_only_its_trial():
     bad, good = _ill_conditioned_gram(), _good_gram()
-    reports = _finish(np.stack([bad, good]), FINISH_PARAMS, [10, 7], [[], []])
+    reports = _alternate_stack(np.stack([bad, good]), FINISH_PARAMS)
     assert isinstance(reports[0], TRIAL_FAILURES)
     assert isinstance(reports[0], SingularBlock)
-    (solo,) = _finish(good[None], FINISH_PARAMS, [7], [[]])
+    (solo,) = _alternate_stack(good[None], FINISH_PARAMS)
+    assert solo.iterations_used == 0
     assert_same_report(reports[1], solo)
     normalized = normalize_diagonal(GramMatrix(field=Field.REAL, K=2, N=3, entries=bad))
     with pytest.raises(InvalidInput, match="diagonal block 0"):
@@ -253,9 +254,9 @@ def test_failed_stacked_decomposition_is_redone_trial_by_trial(monkeypatch):
             raise np.linalg.LinAlgError("injected")
         return real(A, K, N)
 
-    (solo,) = _finish(good[None], FINISH_PARAMS, [7], [[]])
+    (solo,) = _alternate_stack(good[None], FINISH_PARAMS)
     monkeypatch.setattr(solver, "_normalize_stack", fragile)
-    reports = _finish(np.stack([bad, good]), FINISH_PARAMS, [10, 7], [[], []])
+    reports = _alternate_stack(np.stack([bad, good]), FINISH_PARAMS)
     assert isinstance(reports[0], NumericalFailure)
     assert_same_report(reports[1], solo)
 
