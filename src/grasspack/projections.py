@@ -101,17 +101,12 @@ class SpectralSetSpec:
             raise InvalidInput(f"trace target must be positive, got {self.trace_target}")
 
 
-# Multiplier scan for the K >= 3 block solve, as fractions of its upper end min(c)^2 / 4.
+# Scan of a K >= 3 row's smallest value s, as fractions of c_low / 2; above
+# c_low / 2 the residual rises, so needs no scan.
 _SCAN = np.geomspace(1e-40, 1.0, 160)
 
-
-def _plus_root(c, t):
-    """Larger root y of y^2 - c y + t = 0 (continuous with y = c at t = 0)."""
-    return 0.5 * (c + np.sqrt(np.maximum(c * c - 4.0 * t, 0.0)))
-
-
 # Step cap of the safeguarded Newton-bisection.  Bisection alone closes a
-# scan bracket (relative width below 0.8) to 1e-12 in about 40 steps.
+# scan bracket (relative width at most 1/2) to 1e-12 in about 40 steps.
 _REFINE_STEPS = 100
 
 
@@ -151,75 +146,12 @@ def _refine_roots(fdf, lo, hi, f_lo, f_hi):
     return np.where(done, np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi), np.nan)
 
 
-def _scan_block(cs, target):
-    """Each row's least-cost stationary point with every coordinate on its
-    larger root, or only the first argmin of c on its smaller root (see
-    :func:`solve_fs_block`); NaN rows where none is found.
-
-    A 160-point geometric scan of the multiplier t in [0, min(c)^2 / 4]
-    brackets the root on the all-larger branch (monotone in t) and every
-    sign change on the other, for all rows at once, and
-    :func:`_refine_roots` refines all brackets together in t, using
-    d/dt log y_plus = -1 / (sqrt(c^2 - 4t) * y_plus).
-    """
-    P = len(cs)
-    t_max = np.min(cs * cs, axis=1) / 4.0
-    grid = np.zeros((P, 161))
-    grid[:, 1:] = t_max[:, None] * _SCAN
-    log_plus = np.log(_plus_root(cs[:, None, :], grid[:, :, None]))
-    total = np.sum(log_plus, axis=2)
-    # All-larger-roots branch: the residual falls from sum(log c) - target > 0
-    # at t = 0, so a root exists when it is <= 0 at t_max.
-    excess = total - target
-    p_all = np.nonzero(excess[:, -1] <= 0.0)[0]
-    i_all = np.argmax(excess[p_all] <= 0.0, axis=1)
-    # One-smaller-root branch: sign changes over the positive grid points.
-    low = np.argmin(cs, axis=1)
-    gaps = np.log(grid[:, 1:]) + total[:, 1:] - target - 2.0 * log_plus[np.arange(P), 1:, low]
-    p_sm, i_sm = np.nonzero(np.diff(np.sign(gaps), axis=1) != 0)
-    p_end = np.nonzero(np.abs(gaps[:, -1]) < 1e-12)[0]
-
-    row = np.concatenate([p_all, p_sm])
-    branch = np.concatenate([np.full(len(p_all), -1), low[p_sm]])
-    lo = np.concatenate([grid[p_all, i_all - 1], grid[p_sm, i_sm + 1]])
-    hi = np.concatenate([grid[p_all, i_all], grid[p_sm, i_sm + 2]])
-    f_lo = np.concatenate([excess[p_all, i_all - 1], gaps[p_sm, i_sm]])
-    f_hi = np.concatenate([excess[p_all, i_all], gaps[p_sm, i_sm + 1]])
-    # A candidate's residual is the log-product of its coordinates minus the
-    # target: each on its larger root y_plus, except one on its smaller root
-    # t / y_plus (Vieta, avoiding cancellation) off the all-larger branch.
-    c = cs[row]
-    small = (branch >= 0).astype(float)
-    weight = np.ones_like(c)
-    on_small = np.nonzero(branch >= 0)[0]
-    weight[on_small, branch[on_small]] = -1.0
-
-    def fdf(t):
-        root = np.sqrt(np.maximum(c * c - 4.0 * t[:, None], 0.0))
-        y_plus = 0.5 * (c + root)
-        # d/dt log y_plus = -1 / (root * y_plus): infinite at the branch
-        # point c^2 = 4t, where the Newton step is rejected for bisection.
-        return (np.sum(weight * np.log(y_plus), axis=1) + small * np.log(t) - target,
-                small / t - np.sum(weight / (root * y_plus), axis=1))
-
-    t = _refine_roots(fdf, lo, hi, f_lo, f_hi)
-
-    row = np.concatenate([row, p_end])
-    branch = np.concatenate([branch, low[p_end]])
-    t = np.concatenate([t, t_max[p_end]])
-
-    y = _plus_root(cs[row], t[:, None])
-    small = np.nonzero(branch >= 0)[0]
-    y[small, branch[small]] = t[small] / _plus_root(cs[row[small], branch[small]], t[small])
-    cost = 0.5 * np.sum((y - cs[row]) ** 2, axis=1)
-    # Stable sort: a cost tie goes to the earlier candidate, the all-larger
-    # branch first, then the smaller-root branch's least t.
-    by_cost = np.lexsort((cost, row))
-    has = np.zeros(P, dtype=bool)
-    has[row] = True
-    out = np.full(cs.shape, np.nan)
-    out[has] = y[by_cost[np.searchsorted(row[by_cost], np.nonzero(has)[0])]]
-    return out
+def _fs_residual(s, c_low, c_rest, target):
+    """phi(s) of :func:`solve_fs_block`, with the square roots sqrt(c^2 - 4t)
+    and larger roots y+(c, t) of the ``c_rest`` values (first axis) it used."""
+    root = np.sqrt(np.maximum(c_rest * c_rest - 4.0 * s * (c_low - s), 0.0))
+    y = 0.5 * (c_rest + root)
+    return np.log(s) + np.log(y).sum(axis=0) - target, root, y
 
 
 def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
@@ -230,27 +162,37 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     minimizes 0.5 * ||exp(x) - c||^2 subject to sum(x) <= log(mu), and every
     row must have prod(c) > mu, so the constraint is active at the solution.
 
-    Stationary points have y_k (y_k - c_k) = -t, y = exp(x), for one
-    multiplier t in [0, min(c)^2 / 4], so each y_k is the larger root
-    y+(c_k, t) >= c_k / 2 or the smaller root t / y+(c_k, t) <= c_k / 2.  A
-    minimizer's y is ordered like c, since swapping an out-of-order y_i and
-    y_j lowers the cost by 2 (y_i - y_j)(c_j - c_i); and for c_i < c_j the
-    smaller root of c_j lies below both roots of c_i, so below y_i.  Only a
-    coordinate with the smallest c may take its smaller root.
+    Stationary points have y_k (c_k - y_k) = t, y = exp(x), for one
+    multiplier t in (0, min(c)^2 / 4], so each y_k is the larger root
+    y+(c_k, t) >= c_k / 2 or the smaller root t / y+(c_k, t) <= c_k / 2.  At
+    a minimizer at most one y_k lies below c_k / 2, since on the constraint's
+    tangent space (sum v_k / y_k = 0) the Lagrangian's Hessian
+    diag(1 - t / y_k^2) is negative at each such k.  A minimizer's y is
+    ordered like c, since swapping an out-of-order y_i and y_j lowers the
+    cost by 2 (y_i - y_j)(c_j - c_i); and for c_i < c_j the smaller root of
+    c_j lies below both roots of c_i, so below y_i.  So only the smallest c
+    may take its smaller root; of tied smallest values, take the last, c_low.
 
-    K = 1 is closed form, and K >= 3 scans the multiplier
-    (:func:`_scan_block`).  For K = 2 let c1 >= c2, m = exp(log(mu) - 1e-12)
-    and s = y2, so t = s (c2 - s) and y1 = y+(c1, t) >= c1 / 2.  On this
-    branch phi(s) = log s + log y1 - log m rises strictly in s: as
-    sqrt(c1^2 - 4t) >= |c2 - 2s| and y1 >= c2 - s, its derivative
-    1 / s - (c2 - 2s) / (sqrt(c1^2 - 4t) y1) is at least
-    1 / s - 1 / (c2 - s) > 0 below c2 / 2 and at least 1 / s above.  As
-    phi(m / c1) < 0 < phi(c2), the solution is its one root in [m / c1, c2],
-    which :func:`_refine_roots` finds.  Each row is then moved exactly onto the
-    constraint through its largest coordinate and must meet stationarity to
-    1e-8; a row with a non-finite value, no solution, or a larger residual
-    raises NumericalFailure.  Each row's result does not depend on the
-    other rows.
+    Each row is solved in its coordinates sorted by c; K = 1 is closed form.
+    For K >= 2 let m = exp(log(mu) - 1e-12) and s = y_low, so
+    t = s (c_low - s) and every other y_k = y+(c_k, t).  The candidates are
+    the roots of phi(s) = log s + sum_{k != low} log y+(c_k, t) - log m on
+    [s_lo, c_low], s_lo = m / prod_{k != low} c_k: as y+(c_k, t) <= c_k,
+    with equality at t = 0, phi < 0 below s_lo and phi(s_lo) <= 0 <
+    phi(c_low), signs taken as known rather than from rounding.  phi rises
+    strictly on [c_low / 2, c_low], where t falls as s rises.  For K = 2 it
+    rises on the whole interval: with c1 the other value,
+    sqrt(c1^2 - 4t) >= |c_low - 2s| and y1 >= c_low - s, so its derivative
+    1 / s - (c_low - 2s) / (sqrt(c1^2 - 4t) y1) is at least
+    1 / s - 1 / (c_low - s) > 0 below c_low / 2.  So a K = 2 row has the one
+    bracket [s_lo, c_low]; a K >= 3 row is also scanned at c_low / 2 * _SCAN,
+    and every sign change brackets a root.  :func:`_refine_roots` refines
+    every bracket at once, and each row keeps its least-cost root, a tie
+    going to the least s.  The largest c then absorbs the residue, which
+    lands the row exactly on the constraint, and the row must meet
+    stationarity to 1e-8; a row with a non-finite value, no solution, or a
+    larger residual raises NumericalFailure.  Each row's result does not
+    depend on the other rows.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim not in (1, 2) or c.size < 1:
@@ -267,44 +209,60 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
     P, K = cs.shape
     if K == 1:
         return np.full(c.shape, target)
-    if K == 2:
-        m = math.exp(target)
-        c1, c2 = np.maximum(cs[:, 0], cs[:, 1]), np.minimum(cs[:, 0], cs[:, 1])
+    # A stable sort keeps tied values in order, so the last smallest is last.
+    order = np.argsort(-cs, axis=1, kind="stable")
+    rows = np.arange(P)[:, None]
+    c_sorted = cs[rows, order].T  # one row per coordinate, largest c first
+    c_rest, c_low = c_sorted[:-1], c_sorted[-1]
+    s_lo = math.exp(target) / c_rest.prod(axis=0)
+    grid = np.empty((P, 2 + (K > 2) * _SCAN.size))
+    grid[:, 0], grid[:, -1] = s_lo, c_low
+    if K > 2:
+        grid[:, 1:-1] = np.maximum(0.5 * c_low[:, None] * _SCAN, s_lo[:, None])
+    f = _fs_residual(grid, c_low[:, None], c_rest[:, :, None], target)[0]
+    f[:, 0] = np.minimum(f[:, 0], 0.0)
+    f[:, -1] = np.maximum(f[:, -1], 0.0)
+    below = f <= 0.0
+    below[:, -1] = False
+    # Flat indices of each bracket's lower end, row by row in increasing s.
+    lower = np.flatnonzero(below[:, :-1] != below[:, 1:])
+    p = lower // (grid.shape[1] - 1)
+    lower += p
+    b_low, b_rest = c_low[p], c_rest[:, p]
 
-        def phi(s):
-            root = np.sqrt(np.maximum(c1 * c1 - 4.0 * s * (c2 - s), 0.0))
-            y1 = 0.5 * (c1 + root)
-            return np.log(s) + np.log(y1) - target, 1.0 / s - (c2 - 2.0 * s) / (root * y1)
+    def fdf(s):
+        phi, root, y = _fs_residual(s, b_low, b_rest, target)
+        return phi, 1.0 / s - ((b_low - 2.0 * s) / (root * y)).sum(axis=0)
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f_ends = phi(np.stack([m / c1, c2]))[0]
-        s = _refine_roots(phi, m / c1, c2, *f_ends)
-        y = np.stack([m / s, s], axis=1)
-        swap = cs[:, 0] < cs[:, 1]
-        y[swap] = y[swap, ::-1]
-    else:
-        y = _scan_block(cs, target)
-    missing = np.isnan(y[:, 0])
+    grid, f = grid.ravel(), f.ravel()
+    s = _refine_roots(fdf, grid[lower], grid[lower + 1], f[lower], f[lower + 1])
+    y = _fs_residual(s, b_low, b_rest, target)[2]
+    if len(s) > P:  # some row has several roots; each keeps its cheapest
+        # The sort is stable, so a cost tie goes to the least s; NaN sorts last.
+        cost = np.sum((y - b_rest) ** 2, axis=0) + (s - b_low) ** 2
+        by_cost = np.lexsort((cost, p))
+        win = by_cost[np.searchsorted(p[by_cost], np.arange(P))]
+        s, y = s[win], y[:, win]
+    missing = np.isnan(s)
     if missing.any():
         bad = int(np.argmax(missing))
         raise NumericalFailure(f"no stationary point found for c={cs[bad].tolist()}, mu={mu}")
 
     # Land exactly on the constraint by absorbing root-finding residue into
     # the largest coordinate, where the log is least sensitive.
-    rows = np.arange(P)
-    k_big = np.argmax(y, axis=1)
-    log_rest = np.log(y)
-    log_rest[rows, k_big] = 0.0
-    y[rows, k_big] = np.exp(target - np.sum(log_rest, axis=1))
-    comp = y * (y - cs)
-    residual = np.max(np.abs(comp - np.mean(comp, axis=1, keepdims=True)), axis=1)
+    y = np.concatenate([y, s[None]])
+    y[0] = np.exp(target - np.sum(np.log(y[1:]), axis=0))
+    comp = y * (y - c_sorted)
+    residual = np.max(np.abs(comp - np.mean(comp, axis=0)), axis=0)
     if not np.all(residual <= 1e-8):
         bad = int(np.argmax(~(residual <= 1e-8)))
         raise NumericalFailure(
             f"stationarity residual {residual[bad]:.3e} above 1e-8 "
             f"for c={cs[bad].tolist()}, mu={mu}"
         )
-    return np.log(y).reshape(c.shape)
+    out = np.empty_like(cs)
+    out[rows, order] = y.T
+    return np.log(out).reshape(c.shape)
 
 
 def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndarray:

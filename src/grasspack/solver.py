@@ -134,10 +134,10 @@ def _stack_trials(metric: Metric, K: int, N: int) -> int:
     """How many trials of this shape to solve in one stack.
 
     A trial's working set is its KN-by-KN iterate or, under Fubini-Study
-    with K >= 3, the multiplier scan of its block solve (P pairs by 161
-    points by K), whichever is larger; the K <= 2 block solves hold a few
-    values per pair.  A stack holds as many trials as fit the budget, and
-    at least one.
+    with K >= 3, the scan of its block solve (P pairs by 162 points by
+    K - 1, bounded by P * 161 * K), whichever is larger; the K <= 2 block
+    solves hold a few values per pair.  A stack holds as many trials as fit
+    the budget, and at least one.
     """
     per_trial = (K * N) ** 2
     if metric is Metric.FUBINI_STUDY and K >= 3:

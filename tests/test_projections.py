@@ -308,21 +308,17 @@ def _infeasible_rows(rng, K, mu, count):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("K", [2, 3, 4])
 def test_fs_block_batched_matches_row_by_row(K):
     rng = np.random.default_rng(15)
     for mu in (1e-6, 0.02, 0.3):
-        # Small and large mu: rows land on the all-larger branch and on
-        # one-smaller-root branches, and K=2 brackets [m / c1, c2] that start
-        # below and above c2 / 2.
+        # Small and large mu: the smallest value lands below and above
+        # c_low / 2, and brackets [s_lo, ...] start below and above it.
         c = _infeasible_rows(rng, K, mu, 30)
         x = solve_fs_block(c, mu)
         assert x.shape == c.shape
         for row, xr in zip(c, x):
-            if K == 2:
-                assert np.array_equal(xr, solve_fs_block(row, mu))
-            else:
-                assert np.max(np.abs(xr - solve_fs_block(row, mu))) <= 1e-12
+            assert np.array_equal(xr, solve_fs_block(row, mu))
 
 
 def _close_roots_plane():
@@ -418,17 +414,46 @@ def test_fs_block_vs_multistart_oracle(K):
         assert achieved <= fs_block_oracle(c, mu, rng) + 1e-10
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# Rows whose residual phi(s) has three roots, the first and the last of
+# them the cheapest.
+SEVERAL_ROOTS = {
+    "cheapest_last": (
+        [1.0851343448005126, 1.0851343448005126, 1.0889657533111663, 1.1372779416049674],
+        0.1586691149403538,
+    ),
+    "cheapest_first": (
+        [0.8944728946630611, 0.8944728946630611, 0.8945261821517467, 1.032918803627723],
+        0.07378209391896141,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEVERAL_ROOTS))
+def test_fs_block_keeps_the_cheapest_of_several_roots(case):
+    c, mu = (np.array(v) for v in SEVERAL_ROOTS[case])
+    m = math.exp(math.log(mu) - 1e-12)
+    low, rest = np.min(c), np.sort(c)[1:]
+    s = np.linspace(m / np.prod(rest), low, 100_001)
+    y = 0.5 * (rest[:, None] + np.sqrt(rest[:, None] ** 2 - 4.0 * s * (low - s)))
+    phi = np.log(s) + np.sum(np.log(y), axis=0) - math.log(m)
+    assert np.count_nonzero(np.diff(np.sign(phi))) == 3
+    x = solve_fs_block(c, float(mu))
+    achieved = 0.5 * float(np.sum((np.exp(x) - c) ** 2))
+    assert achieved <= fs_block_oracle(c, float(mu), np.random.default_rng(0)) + 1e-10
+
+
 def test_fs_block_barely_over_the_cap():
-    # A block within a few ulps of the cap puts the K=2 root within rounding
-    # of an end of its bracket, where the rounded residual can have the
-    # wrong sign or equal the other end's.
+    # A block within a few ulps of the cap puts the root within rounding of
+    # an end of its bracket [s_lo, c_low], where the rounded residual can
+    # have the wrong sign or equal the other end's; a K=3 row also scans
+    # points clipped to s_lo.
     eps = np.finfo(float).eps
     rows = [([0.5925873487845916, 0.24815580945443455], 0.14705399321024473)]
     rng = np.random.default_rng(21)
-    for _ in range(200):
-        c = np.sort(rng.uniform(0.05, 1.0, 2))[::-1]
-        rows += [(c, c[0] * c[1] * math.exp(1e-12) * (1 - k * eps)) for k in (0, 1, 2, 13)]
+    for K in (2, 3):
+        for _ in range(200):
+            c = np.sort(rng.uniform(0.05, 1.0, K))[::-1]
+            rows += [(c, np.prod(c) * math.exp(1e-12) * (1 - k * eps)) for k in (0, 1, 2, 13)]
     for c, mu in rows:
         if float(np.sum(np.log(c))) <= math.log(mu) - 1e-12:
             continue  # feasible once rounded
@@ -436,21 +461,24 @@ def test_fs_block_barely_over_the_cap():
         assert float(np.sum(x)) == pytest.approx(math.log(mu), abs=1e-9)
 
 
-def test_fs_block_k3_matches_scan_values():
-    # Outputs of the multiplier-scan solve, which K >= 3 still uses.
+def test_fs_block_k3_matches_50_digit_optima():
+    # Optima of the problem the solver solves, with the cap lowered by 1e-12
+    # in log space, computed with mpmath at 50 digits: every sign change of
+    # phi(s) on a dense scan of [s_lo, c_low] refined by findroot, keeping
+    # the cheapest root.  The tied row puts its smaller root last.
     c = np.array([[0.9, 0.8, 0.7], [1.1, 0.3, 0.9], [0.95, 0.9, 0.2], [0.6, 0.6, 0.6]])
     expected = {
         0.1: [
-            [-0.26232914889193415, -0.44040828501390994, -1.5998476590892015],
-            [0.07790105009872048, -2.2487684147934863, -0.13171772830027972],
-            [-0.06211926487118543, -0.11744557341555316, -2.123020254708307],
-            [-0.7675283643316819, -0.7675283643316818, -0.7675283643316818],
+            [-0.2623291488919345, -0.44040828501391, -1.5998476590892012],
+            [0.07790105009872024, -2.2487684147934863, -0.13171772830027975],
+            [-0.062119264871185846, -0.11744557341555317, -2.123020254708307],
+            [-0.7675283643316819, -0.7675283643316819, -0.7675283643316819],
         ],
         1e-3: [
-            [-0.10656384308913493, -0.22466724457202078, -6.576524191321981],
-            [0.09506033609504967, -6.897081806985369, -0.10573380809281707],
-            [-0.051551207200875096, -0.10564789417893053, -6.750556177603332],
-            [-5.876735713791755, -0.5155097825956912, -0.5155097825956912],
+            [-0.10656384308915684, -0.22466724457202075, -6.576524191321959],
+            [0.09506033609499637, -6.897081806985316, -0.10573380809281713],
+            [-0.051551207200943035, -0.10564789417893057, -6.750556177603263],
+            [-0.5155097825956912, -0.5155097825956912, -5.876735713791755],
         ],
     }
     for mu, want in expected.items():

@@ -189,6 +189,7 @@ STACK_CASES = {
     "complex_fubini_study": (
         Metric.FUBINI_STUDY, Field.COMPLEX, 4, 2, 4, math.cos(0.9995 * math.pi / 2), 100,
     ),
+    "complex_fubini_study_k3": (Metric.FUBINI_STUDY, Field.COMPLEX, 6, 3, 4, 0.05, 100),
     "sphere": (Metric.SPHERE, Field.REAL, 3, 1, 6, 0.1, 300),
 }
 
@@ -264,8 +265,8 @@ def test_failed_stacked_decomposition_is_redone_trial_by_trial(monkeypatch):
 @pytest.mark.parametrize("N", [3, 5, 8])
 def test_stack_trials_budget(N):
     # K <= 2 Fubini-Study block solves hold a few values per pair, so their
-    # stacks are sized by the KN-by-KN iterate alone; K >= 3 keeps the
-    # multiplier scan's P-by-161-by-K working set.
+    # stacks are sized by the KN-by-KN iterate alone; K >= 3 keeps a
+    # P-by-162-by-(K - 1) scan, which P * 161 * K bounds.
     for K in (1, 2):
         want = max(1, _STACK_ELEMENTS // (K * N) ** 2)
         assert _stack_trials(Metric.FUBINI_STUDY, K, N) == want
