@@ -268,26 +268,50 @@ def _split_blocks(A: np.ndarray, metric: Metric, K: int, N: int) -> tuple:
     (..., KN, KN) stack, with the upper off-diagonal blocks and their SVD
     where the metric needs them.
 
-    Returns ``(blocks, mags, U, s, Vh)``.  For the chordal metric only
+    Returns ``(blocks, mags, U, s, Vh, sums)``.  For the chordal metric only
     ``mags`` is set: the (..., N, N) grid of block Frobenius norms from
     :func:`_block_norm_grid`, symmetric with a zero diagonal.  Otherwise
     ``blocks`` has shape (..., P, K, K) for the P pairs m < n and ``mags``
-    (..., P); ``U, s, Vh`` is their SVD (None for the sphere metric).
-    Magnitudes are Frobenius norms (chordal), 2-norms (spectral), absolute
-    determinants (Fubini-Study), or the raw signed entry (sphere, real
-    K = 1 only, so like-signed near-neighbors dominate).  Either way the
-    largest entry of ``mags`` is the largest upper-block magnitude.
+    (..., P); ``U, s, Vh`` is their SVD (None for the sphere metric; for
+    K = 2, ``s`` and ``sums`` of :func:`_plane_svd`).  Magnitudes are Frobenius
+    norms (chordal), 2-norms (spectral), absolute determinants (Fubini-Study),
+    or the raw signed entry (sphere, real K = 1 only, so like-signed
+    near-neighbors dominate); the largest is the largest block magnitude.
     """
     if metric is Metric.CHORDAL:
-        return None, _block_norm_grid(A, K, N), None, None, None
+        return None, _block_norm_grid(A, K, N), None, None, None, None
     iu, ju = upper_block_indices(N)
     blocks = as_blocks(A, K, N)[..., iu, ju, :, :]
     if metric is Metric.SPHERE:
         if K != 1 or np.iscomplexobj(blocks):
             raise InvalidInput("sphere magnitudes are defined for real matrices with K = 1")
-        return blocks, blocks[..., 0, 0], None, None, None
+        return blocks, blocks[..., 0, 0], None, None, None, None
+    if K == 2:
+        s, absdet, sums = _plane_svd(blocks)
+        return blocks, absdet if metric is Metric.FUBINI_STUDY else s[..., 0], None, s, None, sums
     U, s, Vh = np.linalg.svd(blocks)
-    return blocks, cosine_magnitudes(s, metric), U, s, Vh
+    return blocks, cosine_magnitudes(s, metric), U, s, Vh, None
+
+
+def _plane_svd(B: np.ndarray) -> tuple:
+    """Closed-form singular values s of (..., 2, 2) blocks B: ``(s, |det B|,
+    sums)``, sums[..., 0, :, :] = B + C and sums[..., 1, :, :] = B - C for
+    C = e [[conj b22, -conj b21], [-conj b12, conj b11]] = |det B| B^{-*},
+    e = det B / |det B| or 1, which has B's singular vectors and s swapped.
+    So s1 +- s2 is the norm of the first row of B +- C, free of the
+    cancellation in s1^2 - s2^2 near a tie, and s2 = |det B| / s1.  Formed
+    entry by entry, so alike in any stack.
+    """
+    det = B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
+    absdet = np.abs(det)
+    phase = np.divide(det, absdet, out=np.ones_like(det), where=absdet > 0.0)
+    C = phase[..., None, None] * B[..., ::-1, ::-1].conj() * [[1.0, -1.0], [-1.0, 1.0]]
+    sums = np.stack([B + C, B - C], axis=-3)
+    row = sums[..., 0, :]  # the second rows' entries have the same magnitudes
+    total, diff = np.moveaxis(np.sqrt(np.sum((row * row.conj()).real, axis=-1)), -1, 0)
+    s1 = 0.5 * (total + diff)
+    s2 = np.minimum(np.divide(absdet, s1, out=np.zeros_like(s1), where=s1 > 0.0), s1)
+    return np.stack([s1, s2], axis=-1), absdet, sums
 
 
 def _angle_cosines(S: np.ndarray, T: np.ndarray) -> np.ndarray:

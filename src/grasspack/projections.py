@@ -13,14 +13,13 @@ the Hermitian invariant: their entries are checked and symmetrized once, on
 construction.  The kernels (``geometry._split_blocks``, ``_cap_blocks``,
 ``_spectral_stack``) work on plain arrays of shape (KN, KN) or (T, KN, KN)
 and check nothing; each returns an exactly Hermitian matrix given one.
-A chordal cap only rescales blocks: ``_cap_blocks`` multiplies the matrix by
-a symmetric grid of block scales, computed from the upper triangle of the
-grid of block norms and mirrored below it, so an exactly Hermitian input
-stays exactly Hermitian; the other metrics mirror every capped upper block
-onto its conjugate transpose.  ``_spectral_stack`` symmetrizes
-V diag(w) V*, which is Hermitian only up to roundoff.  A stack
-is projected matrix by matrix, every matrix bit-identically to how it would
-be projected alone, which lets the solver run T trials as one stack.
+A chordal cap multiplies the matrix by a symmetric grid of block scales, so
+an exactly Hermitian input stays exactly Hermitian; the other metrics mirror
+every capped upper block, and K = 2 blocks are measured and capped in closed
+form, with no LAPACK call.  ``_spectral_stack`` symmetrizes V diag(w) V*,
+which is Hermitian only up to roundoff.  A stack is projected matrix by
+matrix, every matrix bit-identically to how it would be projected alone,
+which lets the solver run T trials as one stack.
 
 For KN >= ``_WARM_MIN_KN`` the solver hands ``_spectral_stack`` the previous
 iterate's top-d eigenbasis, a warm basis that is refined by subspace
@@ -66,6 +65,9 @@ __all__ = [
 # Projected block magnitudes are pulled this far inside the cap, relative to
 # mu, so a second projection sees a feasible block and leaves it untouched.
 _FEAS_SHRINK = 1e-13
+# A K = 2 block is capped through its SVD when its capped values y move over
+# _PLANE_SLOPE times as fast as its singular values s (see _cap_blocks).
+_PLANE_SLOPE = 100.0
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,9 @@ def _refine_roots(fdf, lo, hi, f_lo, f_hi):
     when it lands strictly inside its bracket and bisects otherwise; a step
     shorter than half the stop tolerance 1e-12 * t is lengthened to it, so a
     one-sided Newton approach still closes the bracket.  A row stops when its
-    bracket is within the tolerance or its residual is exactly zero, and
-    returns the bracket end with the smaller residual; a row whose bracket
-    has not closed in _REFINE_STEPS steps returns NaN.
+    bracket is within the tolerance or its residual is exactly zero.  It
+    returns the final bracket's false-position point if inside, else its end
+    of smaller residual, or NaN when not closed in _REFINE_STEPS steps.
     """
     done = (f_lo == 0.0) | (f_hi == 0.0)
     rising = f_lo < 0.0
@@ -143,7 +145,9 @@ def _refine_roots(fdf, lo, hi, f_lo, f_hi):
             t_new = t + step
             newton = (t_new > lo) & (t_new < hi)
             t = np.where(done, t, np.where(newton, t_new, 0.5 * (lo + hi)))
-    return np.where(done, np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi), np.nan)
+        t = lo - f_lo * (hi - lo) / (f_hi - f_lo)  # on a root a lengthened step overshot
+        near = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+        return np.where(done, np.where((t > lo) & (t < hi), t, near), np.nan)
 
 
 def _fs_residual(s, c_low, c_rest, target):
@@ -268,15 +272,18 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
 def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndarray:
     """Structural projection of A from its :func:`geometry._split_blocks` parts.
 
-    Returns a new matrix: A's off-diagonal blocks capped at mu, Hermitian,
-    with identity diagonal blocks.  Blocks already within the cap pass
-    through bit-exactly.  A chordal block over the cap is only rescaled, so
-    the whole projection is one elementwise product of A with the symmetric
-    grid of block scales, expanded to K-by-K blocks; as A is exactly
-    Hermitian, so is the product.  The other metrics cap their upper blocks
-    and write each one's conjugate transpose below the diagonal.
+    Returns a new Hermitian matrix with identity diagonal blocks and the
+    off-diagonal blocks capped at mu; blocks within the cap pass through
+    bit-exactly.  A chordal cap only rescales blocks: one elementwise product
+    of A with the symmetric grid of block scales, exactly Hermitian as A is.
+    The other metrics cap each upper block U diag(s) V* at U diag(y) V* and
+    mirror it; for K = 2 as p B + q C (C as in ``geometry._plane_svd``), the
+    mean of y over s times B + C plus their divided half-difference times
+    B - C.  Its error is eps times that slope, as LAPACK's is, so blocks
+    steeper than _PLANE_SLOPE take the SVD: Fubini-Study ones within ~1e-2
+    of a tie (at a tie the cap is not unique), never spectral ones (slope 1).
     """
-    blocks, mags, U, s, Vh = parts
+    blocks, mags, U, s, Vh, sums = parts
     mu = spec.mu
     K, N = spec.K, spec.N
     over = mags > mu
@@ -303,7 +310,17 @@ def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndar
                 s_new[:, -1] = 0.0
             else:
                 s_new = np.exp(solve_fs_block(s_over, mu))
-            out[over] = np.einsum("pik,pk,pkj->pij", U[over], s_new, Vh[over])
+            if U is None:  # K = 2
+                plus, minus = np.moveaxis(sums[over], -3, 0)
+                dy, ds = s_new[:, 0] - s_new[:, 1], s_over[:, 0] - s_over[:, 1]
+                mean = 0.5 * (s_new[:, 0] + s_new[:, 1]) / (s_over[:, 0] + s_over[:, 1])
+                half = np.divide(0.5 * dy, ds, out=np.zeros_like(ds), where=ds != 0.0)
+                out[over] = mean[:, None, None] * plus + half[:, None, None] * minus
+                over[over] = steep = np.abs(dy) > _PLANE_SLOPE * np.abs(ds)  # to the SVD
+                U, _, Vh = np.linalg.svd(blocks) if np.any(steep) else (None,) * 3
+                s_new = s_new[steep]
+            if U is not None:
+                out[over] = np.einsum("pik,pk,pkj->pij", U[over], s_new, Vh[over])
 
     H = np.empty_like(A)
     B = as_blocks(H, K, N)

@@ -8,12 +8,11 @@ never increases; the per-iteration gap history is kept as the primary
 convergence diagnostic.
 
 Independent trials of one shape run as a stack (``_alternate_stack``): the
-iterates are one (T, KN, KN) array, and each iteration makes one block
-decomposition, which serves both the stop check and the structural
-projection, and one spectral projection, whose top eigenvalues get the
-closed-form trace shift.  Under the chordal metric that decomposition is
-just the grid of block norms, and the structural projection multiplies the
-iterate by a grid of block scales.  At KN >= ``projections._WARM_MIN_KN``
+iterates are one (T, KN, KN) array, and each iteration splits them into
+blocks once, for both the stop check and the structural projection (block
+norms for the chordal metric, closed-form singular values for K = 2, an
+SVD otherwise), and makes one spectral projection, whose top eigenvalues
+get the closed-form trace shift.  At KN >= ``projections._WARM_MIN_KN``
 each trial also carries its iterate's top-d eigenbasis (a (T, KN, d) stack
 pruned and redone with the iterates): the first iteration decomposes each
 iterate in full, and later ones refine the carried basis by certified

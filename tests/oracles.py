@@ -215,3 +215,33 @@ def gather_chordal_cap(A, mu, K, N, shrink):
                 C[n, m] = block.conj().T
         out[t] = from_blocks(C)
     return out
+
+
+def svd_block_cap(blocks, metric, mu, shrink, y=None):
+    """Reference structural cap of (P, K, K) blocks through one LAPACK SVD per
+    block: ``(magnitudes, capped blocks, singular values)``.
+
+    A block's magnitude is its largest singular value (spectral) or their
+    product (Fubini-Study).  A block over mu becomes U diag(y) V*, with y its
+    singular values capped at mu * (1 - shrink) (spectral), the Fubini-Study
+    block solve's (taken from the library: it is tested on its own), or row
+    p of ``y`` when given; the other blocks pass through.
+    """
+    from grasspack.projections import solve_fs_block
+
+    mags, capped, svals = [], [], []
+    for p, block in enumerate(blocks):
+        U, s, Vh = np.linalg.svd(block)
+        mag = float(s[0]) if metric is Metric.SPECTRAL else float(np.prod(s))
+        if mag > mu:
+            if y is not None:
+                new = y[p]
+            elif metric is Metric.SPECTRAL:
+                new = np.minimum(s, mu * (1.0 - shrink))
+            else:
+                new = np.exp(solve_fs_block(s, mu))
+            block = np.einsum("ik,k,kj->ij", U, new, Vh)
+        mags.append(mag)
+        capped.append(block)
+        svals.append(s)
+    return np.array(mags), np.array(capped), np.array(svals)

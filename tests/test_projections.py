@@ -26,6 +26,7 @@ from tests.oracles import (
     random_hermitian,
     random_structural_member,
     spectral_member_distances,
+    svd_block_cap,
 )
 
 
@@ -536,6 +537,79 @@ def test_structural_fs_mixed_blocks():
             assert abs(np.prod(sigma) - mu) <= 1e-9
             solved += 1
     assert feasible > 0 and solved > 0
+
+
+def test_fs_block_final_step_lands_on_the_root():
+    # The last Newton step of this row (3.4e-19) was shorter than half the
+    # stop tolerance, so it was lengthened and overshot: both bracket ends
+    # sat 2.5e-13 relative from the root.  The optimum below was computed
+    # with mpmath at 50 digits, for the cap lowered by 1e-12 in log space.
+    x = solve_fs_block(np.array([0.65275586, 0.65275586]), 8.797e-7)
+    want = [-0.42655415863255839674373847186241247645616057520148,
+            -13.517130738056224573642716945748292422378067940424]
+    assert np.allclose(x, want, rtol=1e-14, atol=0.0)
+
+
+# --- closed-form 2-by-2 blocks ------------------------------------------------
+
+
+def _plane_blocks(field, rng, mu):
+    """2-by-2 blocks U diag(s1, s2) V* and their kinds: random s, relative gaps
+    1e-1 to 1e-10, exact ties (scaled unitaries), rank-1 and zero blocks, and
+    blocks a few ulps over a Fubini-Study and a spectral cap mu."""
+    def unitary():
+        return np.linalg.qr(gaussian_matrix(2, 2, field, rng))[0]
+
+    eps = np.finfo(float).eps
+    values, kinds = [], []
+    for gap in ["random", 1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 0.0]:
+        for _ in range(6):
+            s1 = rng.uniform(0.3, 1.0)
+            values.append((s1, rng.uniform(0.0, s1) if gap == "random" else s1 * (1.0 - gap)))
+            kinds.append(gap)
+    values += [(rng.uniform(0.3, 1.0), 0.0) for _ in range(4)] + [(0.0, 0.0)]
+    kinds += ["rank-1"] * 4 + ["zero"]
+    for k in (1, 2, 3):
+        values += [(0.9, mu / 0.9 * (1.0 + k * eps)), (mu * (1.0 + k * eps), 0.3 * mu)]
+        kinds += ["ulps over"] * 2
+    return np.array([(unitary() * s) @ unitary().conj().T for s in values]), kinds
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize(
+    "metric,mu",
+    [(Metric.FUBINI_STUDY, 7.85e-4), (Metric.FUBINI_STUDY, 0.05), (Metric.SPECTRAL, 0.5)],
+)
+def test_plane_closed_form_matches_svd_oracle(field, metric, mu):
+    blocks, kinds = _plane_blocks(field, np.random.default_rng(50), mu)
+    N = 13  # 78 pairs: every block once, the rest zero
+    pairs = dict(zip(zip(*np.triu_indices(N, 1)), blocks))
+    G = _gram_with_blocks(field, 2, N, lambda m, n: pairs.get((m, n), np.zeros((2, 2))))
+    spec = StructuralSetSpec(metric=metric, mu=mu, K=2, N=N)
+    parts = _split_blocks(G.entries, metric, 2, N)
+    assert parts[2] is None and parts[4] is None  # no SVD was taken
+    P = len(blocks)
+    got = as_blocks(_cap_blocks(G.entries, spec, parts), 2, N)[np.triu_indices(N, 1)][:P]
+    mags, want, _ = svd_block_cap(blocks, metric, mu, projections._FEAS_SHRINK)
+    scale = np.maximum(np.linalg.norm(blocks, axis=(1, 2)), 1e-300)
+    assert np.all(np.abs(parts[1][:P] - mags) <= 1e-13 * scale)
+    assert np.all(np.linalg.norm(got - want, axis=(1, 2)) <= 1e-13 * scale)
+    over = parts[1][:P] > mu
+    assert over[[k == 0.0 for k in kinds]].any() and over[[k == "ulps over" for k in kinds]].any()
+    # Blocks whose cap is too steep for the closed form take LAPACK's singular
+    # vectors, bit-identically, with the capped values y of the closed form.
+    s = parts[3][:P][over]
+    if metric is Metric.SPECTRAL:
+        y = np.minimum(s, mu * (1.0 - projections._FEAS_SHRINK))
+    else:
+        y = np.exp(solve_fs_block(s, mu))
+    steep = np.abs(y[:, 0] - y[:, 1]) > projections._PLANE_SLOPE * np.abs(s[:, 0] - s[:, 1])
+    rows = np.flatnonzero(over)[steep]
+    assert steep.any() == (metric is Metric.FUBINI_STUDY)
+    assert {kinds[p] for p in rows} <= {1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 0.0}
+    if rows.size:
+        capped = svd_block_cap(blocks[rows], metric, mu, 0.0, y=y[steep])[1]
+        assert np.array_equal(got[rows], capped)
 
 
 # --- spectral projection --------------------------------------------------

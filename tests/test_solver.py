@@ -190,6 +190,11 @@ STACK_CASES = {
         Metric.FUBINI_STUDY, Field.COMPLEX, 4, 2, 4, math.cos(0.9995 * math.pi / 2), 100,
     ),
     "complex_fubini_study_k3": (Metric.FUBINI_STUDY, Field.COMPLEX, 6, 3, 4, 0.05, 100),
+    # Real K = 2 blocks take the closed form with the phase sign(det B).
+    "real_fubini_study": (
+        Metric.FUBINI_STUDY, Field.REAL, 4, 2, 4, math.cos(0.9995 * math.pi / 2), 100,
+    ),
+    "real_spectral": (Metric.SPECTRAL, Field.REAL, 4, 2, 5, 0.75, 300),
     "sphere": (Metric.SPHERE, Field.REAL, 3, 1, 6, 0.1, 300),
 }
 
