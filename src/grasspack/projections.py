@@ -28,8 +28,8 @@ Problems") instead of decomposing the full matrix.  A warm result is
 accepted only under a certificate: its residual must be below 1e-12 times
 a lower bound on the gap between the d-th and (d+1)-th eigenvalues, which
 by Davis-Kahan keeps the subspace within 1e-12 of the exact one.  Each
-round makes two products with the iterate and one Rayleigh-Ritz solve.
-When the certificate is not met within ``_WARM_STEPS`` rounds (20 products
+round makes three products with the iterate and one Rayleigh-Ritz solve.
+When the certificate is not met within ``_WARM_STEPS`` rounds (21 products
 after the first) the full decomposition (``hermitian_eig``) takes over, so
 only its cold starts and fallbacks reach it.  ``project_spectral`` always
 decomposes in full.
@@ -52,7 +52,7 @@ from .geometry import (
     as_blocks,
     upper_block_indices,
 )
-from .linalg import hermitian_eig, symmetrize
+from .linalg import _frobenius_sq, hermitian_eig, symmetrize
 
 __all__ = [
     "StructuralSetSpec",
@@ -288,8 +288,8 @@ def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndar
     K, N = spec.K, spec.N
     over = mags > mu
     if spec.metric is Metric.CHORDAL:
-        scale = np.divide(mu, mags, out=np.ones_like(mags), where=over)
-        np.multiply(scale, 1.0 - _FEAS_SHRINK, out=scale, where=over)
+        with np.errstate(divide="ignore", invalid="ignore"):  # unread where not over
+            scale = np.where(over, mu / mags * (1.0 - _FEAS_SHRINK), 1.0)
         expanded = scale[..., :, None, :, None]
         H = (A.reshape(A.shape[:-2] + (N, K, N, K)) * expanded).reshape(A.shape)
         idx = np.arange(N)
@@ -368,10 +368,11 @@ def _water_fill(lam: np.ndarray, target: float) -> np.ndarray:
 
 # The spectral projection of an n-by-n iterate with n >= _WARM_MIN_KN refines
 # the previous iterate's top eigenbasis instead of decomposing the full
-# matrix; below it a full eigh costs less than a few subspace steps.  A warm
-# solve makes at most 1 + 2 * _WARM_STEPS products with H before it falls back.
-_WARM_MIN_KN = 96
-_WARM_STEPS = 10
+# matrix; below it a full eigh costs less than a few subspace steps (warm took
+# 0.72-0.90 of the full time at KN = 48, 1.1-2.3 times it at KN 19-32).  A warm
+# solve makes at most 1 + 3 * _WARM_STEPS products with H before it falls back.
+_WARM_MIN_KN = 48
+_WARM_STEPS = 7
 _WARM_TOL = 1e-12
 
 
@@ -380,11 +381,12 @@ def _warm_top(H: np.ndarray, V: np.ndarray):
     orthonormal (T, n, r) bases ``V``, as (Ritz values, Ritz vectors).
 
     Each trial runs unshifted subspace iteration with Rayleigh-Ritz, in
-    rounds of two products with H: Q = qr(H (H X)), the r-by-r
+    rounds of three products with H: Q = qr(H (H (H X))), the r-by-r
     eigendecomposition Q* (H Q) = W diag(theta) W*, and X = Q W, whose H X
-    = (H Q) W costs no further product.  Orthonormalizing and solving the
-    small problem once per two products, not once per product, halves the
-    rounds, which cost more than the products at the sizes warm solves run.
+    = (H Q) W costs no further product.  Rounds cost more than products at
+    the sizes warm solves run, so each takes three: at KN = 192 the residual
+    falls ~50-fold per product and is certified at degree 6, in the second
+    three-product round (the third two-product one).
     A round's result is accepted once ||H X - X diag(theta)||_F <= _WARM_TOL *
     delta with delta = theta_r - sqrt(max(||H||_F^2 - sum(theta^2), 0)) > 0:
     the square root bounds lambda_{r+1}(H) from above (Weyl, as it is
@@ -400,10 +402,10 @@ def _warm_top(H: np.ndarray, V: np.ndarray):
     basis = np.empty_like(V)
     todo = np.arange(len(H))
     Hs, HX = H, H @ V
-    sq_norm = np.linalg.norm(H, axis=(-2, -1)) ** 2
+    sq_norm = _frobenius_sq(H)
     try:
         for _ in range(_WARM_STEPS):
-            Q = np.linalg.qr(Hs @ HX)[0]
+            Q = np.linalg.qr(Hs @ (Hs @ HX))[0]
             HQ = Hs @ Q
             # eigh reads only the lower triangle of Q* H Q, Hermitian up to roundoff.
             theta, W = np.linalg.eigh(np.swapaxes(Q, -1, -2).conj() @ HQ)

@@ -16,7 +16,7 @@ get the closed-form trace shift.  At KN >= ``projections._WARM_MIN_KN``
 each trial also carries its iterate's top-d eigenbasis (a (T, KN, d) stack
 pruned and redone with the iterates): the first iteration decomposes each
 iterate in full, and later ones refine the carried basis by certified
-subspace iteration, at most 21 products with the iterate, falling back to
+subspace iteration, at most 22 products with the iterate, falling back to
 the full decomposition for any trial whose certificate fails (see
 ``projections``).  A trial that meets the cap leaves the stack.  The finish
 (normalize, factor, measure) also runs once per stack, one batched call per
@@ -48,7 +48,7 @@ from .geometry import (
     as_blocks,
     min_angle,
 )
-from .linalg import symmetrize
+from .linalg import _frobenius_sq, symmetrize
 from .projections import _SCAN, SpectralSetSpec, StructuralSetSpec, _cap_blocks, _spectral_stack
 
 # Not called here, since the loop and the finish work on whole stacks of plain
@@ -171,7 +171,7 @@ def _iterate(G0s: np.ndarray, params: SolveParams) -> tuple:
             if not live.size:
                 break
         H = _cap_blocks(G, struct, parts)
-        step_gaps = np.linalg.norm(G - H, axis=(-2, -1))
+        step_gaps = np.sqrt(_frobenius_sq(G - H))
         if not np.all(np.isfinite(step_gaps)):
             raise NumericalFailure("structural projection gave a non-finite iterate")
         G, V = _spectral_stack(H, spectral, V)

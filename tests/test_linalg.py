@@ -3,7 +3,7 @@ import pytest
 
 from grasspack.errors import InvalidInput, RankDeficient
 from grasspack.geometry import Field
-from grasspack.linalg import _qr_stack, hermitian_eig, qr_orthonormal
+from grasspack.linalg import _frobenius_sq, _qr_stack, hermitian_eig, qr_orthonormal, symmetrize
 
 from tests.oracles import random_hermitian
 
@@ -89,3 +89,42 @@ def test_qr_stack_matches_qr_orthonormal_and_flags_rank_deficient_member(field):
         if idx != (1, 2):
             assert ratio[idx] > 1e-12
             assert np.array_equal(Q[idx], qr_orthonormal(A[idx]))
+
+
+def _random_stack(T, n, field, rng):
+    A = rng.standard_normal((T, n, n))
+    if field is Field.COMPLEX:
+        A = A + 1j * rng.standard_normal((T, n, n))
+    return A
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_frobenius_sq_is_stack_invariant(field):
+    # The solver's gaps and the warm certificate read these sums, so a trial
+    # must get the same bits in any stack; a reduction that lays a stack out
+    # differently from one matrix (as an einsum over two axes does at 96 rows)
+    # would break stacked-equals-solo.
+    rng = np.random.default_rng(7)
+    for n in (10, 19, 48, 96, 192):
+        for T in (1, 3, 6):
+            A = _random_stack(T, n, field, rng)
+            sq = _frobenius_sq(A)
+            assert sq.shape == (T,)
+            for t in range(T):
+                assert _frobenius_sq(A[t]).shape == ()
+                assert sq[t].tobytes() == _frobenius_sq(A[t]).tobytes()
+            ref = np.linalg.norm(A, axis=(-2, -1))
+            assert np.all(np.abs(np.sqrt(sq) - ref) <= 1e-15 * ref)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_symmetrize_is_the_halved_sum_bit_for_bit(field):
+    rng = np.random.default_rng(8)
+    for n in (1, 10, 48, 96, 192):
+        for T in (1, 3):
+            A = _random_stack(T, n, field, rng)
+            for X in (A, np.swapaxes(A, -1, -2), A[0]):  # a transposed view too
+                out = symmetrize(X)
+                ref = np.ascontiguousarray((X + np.swapaxes(X, -1, -2).conj()) / 2)
+                assert out.flags.c_contiguous
+                assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))

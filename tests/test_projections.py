@@ -127,6 +127,29 @@ def test_chordal_cap_matches_gather_oracle(field, K):
         assert np.array_equal(H[t], alone)
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_chordal_cap_scales_bit_for_bit_as_masked_division(field):
+    # The scale grid is mu / ||B|| * (1 - shrink) over the cap and 1 elsewhere,
+    # the bits masked divide-and-multiply loops write; at mu = 0 the zero
+    # diagonal norms divide 0 by 0 unread, with no RuntimeWarning.
+    rng = np.random.default_rng(47)
+    shrink = projections._FEAS_SHRINK
+    for K, N, T, mu in [(1, 19, 3, 0.3), (2, 24, 4, 0.6), (2, 48, 2, 0.0), (2, 96, 1, 0.6), (3, 8, 2, 0.9)]:
+        A = np.stack([random_hermitian(K * N, field, rng, scale=0.5) for _ in range(T)])
+        spec = StructuralSetSpec(metric=Metric.CHORDAL, mu=mu, K=K, N=N)
+        parts = _split_blocks(A, Metric.CHORDAL, K, N)
+        mags = parts[1]
+        over = mags > mu
+        assert over.any() and (mu == 0.0 or not over[:, ~np.eye(N, dtype=bool)].all())
+        scale = np.divide(mu, mags, out=np.ones_like(mags), where=over)
+        np.multiply(scale, 1.0 - shrink, out=scale, where=over)
+        ref = A * np.repeat(np.repeat(scale, K, axis=-1), K, axis=-2)
+        idx = np.arange(N)
+        as_blocks(ref, K, N)[:, idx, idx] = np.eye(K)
+        H = _cap_blocks(A, spec, parts)
+        assert np.array_equal(H.view(np.uint64), ref.view(np.uint64))
+
+
 def test_structural_sphere_clamps():
     vals = {(0, 1): -1.2, (0, 2): 0.95, (1, 2): 0.5}
     G = _gram_with_blocks(Field.REAL, 1, 3, lambda m, n: [[vals[(m, n)]]])
@@ -815,9 +838,20 @@ def test_warm_spectral_budget_before_fallback(field, eig_calls, monkeypatch):
     qr_calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda A, *a, **k: qr_calls.append(1) or qr(A, *a, **k))
-    warm = _spectral_stack(H[None], spec, U[None, :, d : 2 * d])
+    products = []
+
+    class CountsProducts(np.ndarray):
+        # Counts the products taken with H on the left; they, and H read
+        # through np.asarray, are plain arrays.
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ other
+
+    warm = _spectral_stack(H[None].view(CountsProducts), spec, U[None, :, d : 2 * d])
     assert eig_calls == [1]
     assert 1 <= len(qr_calls) <= projections._WARM_STEPS
+    # One product to start, then three per round.
+    assert len(products) == 1 + 3 * len(qr_calls) <= 1 + 3 * projections._WARM_STEPS
     full = _spectral_stack(H[None], spec)
     assert all(np.array_equal(a, b) for a, b in zip(warm, full))
 

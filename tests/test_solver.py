@@ -282,15 +282,26 @@ def test_stack_trials_budget(N):
 
 
 def test_kn96_stack_case_takes_warm_path():
-    metric, field, d, K, N, mu, cap = STACK_CASES["complex_chordal_kn96"]
-    assert K * N >= projections._WARM_MIN_KN
+    # Both large stack cases check stacked-equals-solo on the warm path.
+    for case in ("complex_chordal_kn48", "complex_chordal_kn96"):
+        metric, field, d, K, N, mu, cap = STACK_CASES[case]
+        assert K * N >= projections._WARM_MIN_KN
 
 
 def test_warm_spectral_solve_matches_full_solve(monkeypatch):
-    bound = rankin_chordal(8, 2, 96, Field.COMPLEX).bound_value
+    _warm_solve_matches_full_solve(96, monkeypatch)
+
+
+def test_warm_spectral_solve_matches_full_solve_kn48(monkeypatch):
+    _warm_solve_matches_full_solve(24, monkeypatch)
+
+
+def _warm_solve_matches_full_solve(N, monkeypatch):
+    # d = 8 planes at the chordal bound, as in the benchmark's scaling cells.
+    bound = rankin_chordal(8, 2, N, Field.COMPLEX).bound_value
     mu = mu_from_rho(math.sqrt(bound), Metric.CHORDAL, 2)
-    g0 = gram(initial_configuration(8, 2, 96, Field.COMPLEX, InitParams(tau=math.sqrt(2), seed=5)))
-    params = SolveParams(metric=Metric.CHORDAL, mu=mu, d=8, K=2, N=96, max_iterations=60)
+    g0 = gram(initial_configuration(8, 2, N, Field.COMPLEX, InitParams(tau=math.sqrt(2), seed=5)))
+    params = SolveParams(metric=Metric.CHORDAL, mu=mu, d=8, K=2, N=N, max_iterations=60)
     calls = []
     full_eig = projections.hermitian_eig
     monkeypatch.setattr(projections, "hermitian_eig", lambda A: calls.append(1) or full_eig(A))
