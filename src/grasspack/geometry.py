@@ -194,13 +194,8 @@ def block_cosines(G: GramMatrix) -> np.ndarray:
     Row p holds the K principal-angle cosines, nonincreasing, of the p-th
     pair m < n.  They are not clamped: roundoff may leave them just above 1.
     """
-    return _block_cosines(G.entries, G.K, G.N)
-
-
-def _block_cosines(A: np.ndarray, K: int, N: int) -> np.ndarray:
-    """:func:`block_cosines` of each member of a (..., KN, KN) stack."""
-    iu, ju = upper_block_indices(N)
-    return np.linalg.svd(as_blocks(A, K, N)[..., iu, ju, :, :], compute_uv=False)
+    iu, ju = upper_block_indices(G.N)
+    return np.linalg.svd(as_blocks(G.entries, G.K, G.N)[iu, ju], compute_uv=False)
 
 
 def cosine_distances(c: np.ndarray, metric: Metric) -> np.ndarray:
@@ -342,14 +337,7 @@ def dist(S: np.ndarray, T: np.ndarray, metric: Metric) -> float:
 
 def packing_diameter(config: Configuration, metric: Metric) -> float:
     """Minimum pairwise distance within a configuration."""
-    return float(_packing_diameters(config.blocks, metric))
-
-
-def _packing_diameters(blocks: np.ndarray, metric: Metric) -> np.ndarray:
-    """:func:`packing_diameter` of each member of a (..., N, d, K) stack."""
-    N, _, K = blocks.shape[-3:]
-    c = _block_cosines(symmetrize(_gram_entries(blocks)), K, N)
-    return np.min(cosine_distances(c, metric), axis=-1)
+    return float(np.min(cosine_distances(block_cosines(gram(config)), metric)))
 
 
 def _gram_entries(blocks: np.ndarray) -> np.ndarray:

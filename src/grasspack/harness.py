@@ -33,7 +33,6 @@ from .geometry import (
     _open_text,
     block_cosines,
     cosine_distances,
-    cosine_magnitudes,
     gram,
     max_block_magnitude,
     min_angle,
@@ -346,9 +345,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every cell of the spec (:func:`_cells`) and aggregate per-cell rows.
 
     Cells whose reference row is missing are reported as warning rows with
-    NaN values and every trial counted failed.  A reference run fills
-    ``error_vs_reference`` from the table that gave mu.  Aggregation is
-    independent of trial completion order.
+    NaN values and every solve (trials x sweep steps) counted failed.  A
+    reference run fills ``error_vs_reference`` from the table that gave mu.
+    Aggregation is independent of trial completion order.
     """
     ref = ReferenceTable.load(spec.reference_path) if spec.mu_source == "reference_file" else None
     cells = _cells(spec.space, spec.d_values, spec.K_values, spec.N_values)
@@ -367,8 +366,8 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     ]
     rows = []
     for (d, K, N), mu_base, sweep in zip(cells, mus, sweeps):
-        if sweep is None:
-            reports = [None] * spec.trials  # no reference row: every trial failed
+        if sweep is None:  # no reference row: every solve of the cell fails
+            reports = [None] * spec.trials * (1 if spec.sweep is None else int(spec.sweep[2]))
         else:
             reports = _solve_cell(spec, sweep)
         values = [_report_value(spec.metric, K, r) for r in reports if r is not None]
@@ -410,7 +409,7 @@ def evaluate_file(path) -> dict:
         for m in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY, Metric.GEODESIC)
     }
     magnitudes = {
-        m.value: float(np.max(cosine_magnitudes(c, m)))
+        m.value: max_block_magnitude(g, m)
         for m in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY)
     }
     eigenvalues = np.linalg.eigvalsh(g.entries)

@@ -3,9 +3,10 @@
 One solve alternates nearest-point maps until the iterate's off-diagonal
 block magnitudes fall within the target cap (plus a small slack) or the
 iteration budget runs out, then renormalizes diagonal blocks and factors the
-result into a configuration.  The distance between successive iterate pairs
-never increases; the per-iteration gap history is kept as the primary
-convergence diagnostic.
+result into a configuration, whose Gram matrix it reports with the largest
+block magnitude and packing diameter measured on it.  The distance between
+successive iterate pairs never increases; the per-iteration gap history is
+kept as the primary convergence diagnostic.
 
 Independent trials of one shape run as a stack (``_alternate_stack``): the
 iterates are one (T, KN, KN) array, and each iteration splits them into
@@ -19,10 +20,11 @@ iterate in full, and later ones refine the carried basis by certified
 subspace iteration, at most 22 products with the iterate, falling back to
 the full decomposition for any trial whose certificate fails (see
 ``projections``).  A trial that meets the cap leaves the stack.  The finish
-(normalize, factor, measure) also runs once per stack, one batched call per
-step.  Each trial's report is bit-identical to solving it alone, and
-``alternate`` is the one-trial call; so a stack in which any trial fails is
-solved again trial by trial, and only the trials that fail alone fail.
+(normalize, factor, measure the frames' Gram matrix) runs once per stack,
+one batched call per step.  Each trial's report is bit-identical to solving
+it alone, and ``alternate`` is the one-trial call; so a stack in which any
+trial fails is solved again trial by trial, and only the trials that fail
+alone fail.
 Validation runs at the boundary: starts are ``GramMatrix`` entries, and each
 final matrix becomes a ``GramMatrix`` again.  Inside the loop the iterates
 stay exactly Hermitian by construction (see ``projections``) and are not
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .bounds import rho_from_mu
 from .errors import InvalidInput, NotPSD, NumericalFailure, RankExceeded, SingularBlock
 from .geometry import (
     Configuration,
@@ -43,7 +46,7 @@ from .geometry import (
     GramMatrix,
     Metric,
     _factor_stack,
-    _packing_diameters,
+    _gram_entries,
     _split_blocks,
     as_blocks,
     min_angle,
@@ -89,10 +92,10 @@ class SolveReport:
     iterations_used: int
     gap_history: list = dataclass_field(repr=False)
     stopped_early: bool  # iterations_used < max_iterations: mu was met within budget
-    final_gram: GramMatrix
+    final_gram: GramMatrix  # of final_config; final_diameter and mu_achieved measure it
     final_config: Configuration
-    final_diameter: float
-    mu_achieved: float
+    final_diameter: float  # packing diameter, or for sphere points the smallest angle
+    mu_achieved: float  # largest off-diagonal block magnitude
 
 
 def normalize_diagonal(G: GramMatrix) -> GramMatrix:
@@ -183,16 +186,15 @@ def _iterate(G0s: np.ndarray, params: SolveParams) -> tuple:
 
 
 def _finish(Gs: np.ndarray, iterations: list, gaps: list, params: SolveParams) -> list:
-    """Normalize, factor and measure a (T, KN, KN) stack of final iterates,
-    one batched call per step, checks kept per trial: their ``SolveReport``s."""
-    K, N, T = params.K, params.N, len(Gs)
-    out = _normalize_stack(Gs, K, N)
-    frames = _factor_stack(out, params.d, K, N)
-    mu = np.max(_split_blocks(out, params.metric, K, N)[1].reshape(T, -1), axis=1).tolist()
-    if params.metric is Metric.SPHERE:
-        diameters = [min_angle(m, Metric.SPHERE) for m in mu]
-    else:
-        diameters = _packing_diameters(frames, params.metric).tolist()
+    """Normalize and factor a (T, KN, KN) stack of final iterates, then measure
+    the frames' Gram matrices with the stop check's ``_split_blocks``, one
+    batched call per step, checks kept per trial: their ``SolveReport``s."""
+    K, N, T, metric = params.K, params.N, len(Gs), params.metric
+    frames = _factor_stack(_normalize_stack(Gs, K, N), params.d, K, N)
+    out = symmetrize(_gram_entries(frames))
+    mu = np.max(_split_blocks(out, metric, K, N)[1].reshape(T, -1), axis=1).tolist()
+    diameters = [min_angle(m, metric) if metric is Metric.SPHERE else rho_from_mu(m, metric, K)
+                 for m in mu]
     field = Field.COMPLEX if np.iscomplexobj(Gs) else Field.REAL
     return [
         SolveReport(
@@ -235,9 +237,10 @@ def alternate(G0: GramMatrix, params: SolveParams) -> SolveReport:
 
     Feasibility is checked on the current iterate before each structural
     projection, so a feasible starting matrix returns immediately with zero
-    iterations.  The returned Gram matrix is always positive semidefinite
-    with rank at most d and identity diagonal blocks; whether the block
-    magnitudes meet mu is reported through ``mu_achieved``, not asserted.
+    iterations.  The returned Gram matrix is that of the returned
+    configuration, positive semidefinite with rank at most d and identity
+    diagonal blocks; ``mu_achieved`` and ``final_diameter`` are measured on
+    it, and whether they meet mu is reported, not asserted.
     """
     if (G0.K, G0.N) != (params.K, params.N):
         raise InvalidInput(

@@ -109,17 +109,20 @@ def test_run_experiment_rejects_spec_without_cells(monkeypatch):
 def test_run_experiment_missing_reference_row(tmp_path):
     path = tmp_path / "refs.csv"
     path.write_text("3,1,4,70.529,degrees\n")
-    spec = ExperimentSpec(
-        space="projective", field=Field.REAL, metric=Metric.CHORDAL,
-        d_values=(3,), N_values=(4, 5), trials=2,
-        mu_source="reference_file", reference_path=str(path),
-        max_iterations=100, seed=2,
-    )
-    rows = run_experiment(spec)
-    ok = {r.N: r for r in rows}
-    assert math.isfinite(ok[4].best_diameter)
-    assert math.isnan(ok[5].best_diameter)
-    assert ok[5].trials_failed == spec.trials
+    # A solved cell attempts trials x sweep steps solves, so a cell without a
+    # reference row counts that many failures.
+    for sweep, steps in ((None, 1), ((1.0, 1.2, 3), 3)):
+        spec = ExperimentSpec(
+            space="projective", field=Field.REAL, metric=Metric.CHORDAL,
+            d_values=(3,), N_values=(4, 5), trials=2, sweep=sweep,
+            mu_source="reference_file", reference_path=str(path),
+            max_iterations=100, seed=2,
+        )
+        rows = run_experiment(spec)
+        ok = {r.N: r for r in rows}
+        assert math.isfinite(ok[4].best_diameter)
+        assert math.isnan(ok[5].best_diameter)
+        assert ok[5].trials_failed == spec.trials * steps
 
 
 def test_run_experiment_rejects_degrees_reference_for_subspaces(tmp_path):
@@ -357,16 +360,27 @@ def test_evaluate_file_orthonormal_lines(tmp_path):
 
 
 def test_evaluate_file_roundtrip_matches_report(tmp_path):
-    config = initial_configuration(4, 2, 4, Field.COMPLEX, InitParams(tau=math.sqrt(2), seed=5))
-    rep = alternate(
-        gram(config),
-        SolveParams(metric=Metric.CHORDAL, mu=0.8, d=4, K=2, N=4, max_iterations=150),
-    )
+    # A stored packing evaluates to the numbers its solve reported.
+    cases = [
+        (Metric.CHORDAL, Field.COMPLEX, 4, 2, 4, 0.8),
+        (Metric.SPECTRAL, Field.COMPLEX, 4, 2, 5, 0.75),
+        (Metric.FUBINI_STUDY, Field.COMPLEX, 4, 2, 4, 0.3),
+        (Metric.CHORDAL, Field.REAL, 3, 1, 7, math.cos(math.radians(54.5))),
+    ]
     path = tmp_path / "solved.json"
-    write_configuration(rep.final_config, path)
-    out = evaluate_file(path)
-    assert out["packing_diameters"]["chordal"] == pytest.approx(rep.final_diameter, abs=1e-9)
-    assert out["max_block_magnitudes"]["chordal"] == pytest.approx(rep.mu_achieved, abs=1e-9)
+    for metric, field, d, K, N, mu in cases:
+        tau = 0.9 if K == 1 else math.sqrt(K)
+        config = initial_configuration(d, K, N, field, InitParams(tau=tau, seed=5))
+        rep = alternate(
+            gram(config), SolveParams(metric=metric, mu=mu, d=d, K=K, N=N, max_iterations=150),
+        )
+        write_configuration(rep.final_config, path)
+        out = evaluate_file(path)
+        assert out["max_block_magnitudes"][metric.value] == rep.mu_achieved
+        diameter = out["packing_diameters"][metric.value]
+        assert diameter == pytest.approx(rep.final_diameter, abs=1e-12)
+        if K == 1:
+            assert out["min_angle_degrees"] == harness._report_value(metric, K, rep)
 
 
 def test_evaluate_file_parse_error(tmp_path):

@@ -6,7 +6,16 @@ import pytest
 import grasspack.projections as projections
 from grasspack.bounds import mu_from_rho, rankin_chordal, rankin_spectral
 from grasspack.errors import InvalidInput, NumericalFailure, SingularBlock
-from grasspack.geometry import Field, GramMatrix, Metric, factor, gram
+from grasspack.geometry import (
+    Field,
+    GramMatrix,
+    Metric,
+    factor,
+    gram,
+    max_block_magnitude,
+    min_angle,
+    packing_diameter,
+)
 from grasspack.solver import (
     _STACK_ELEMENTS,
     TRIAL_FAILURES,
@@ -216,6 +225,44 @@ def test_stacked_trials_match_solo_solves(case):
     for G0, report in zip(starts, stacked):
         assert report.stopped_early == (report.iterations_used < cap)
         assert_same_report(report, alternate(G0, params))
+
+
+REPORT_CASES = {
+    "real_chordal_lines": (Metric.CHORDAL, Field.REAL, 3, 1, 7, math.cos(math.radians(54.5))),
+    "complex_chordal_n6": (Metric.CHORDAL, Field.COMPLEX, 4, 2, 6, 0.8),
+    "complex_chordal_n24": (Metric.CHORDAL, Field.COMPLEX, 8, 2, 24, _below_bound_mu(24, 0.7)),
+    "complex_spectral": (Metric.SPECTRAL, Field.COMPLEX, 4, 2, 5, 0.75),
+    "complex_fubini_study": (
+        Metric.FUBINI_STUDY, Field.COMPLEX, 4, 2, 4, math.cos(0.9995 * math.pi / 2),
+    ),
+    "real_fubini_study_k3": (Metric.FUBINI_STUDY, Field.REAL, 6, 3, 4, 0.05),
+    "sphere": (Metric.SPHERE, Field.REAL, 3, 1, 6, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_describes_the_returned_packing(case):
+    # The report's Gram matrix, block magnitude and diameter are all those of
+    # the returned configuration, stacked and solo alike.
+    metric, field, d, K, N, mu = REPORT_CASES[case]
+    starts = [
+        gram(initial_configuration(
+            d, K, N, field, InitParams(tau=0.9 if K == 1 else math.sqrt(K), seed=seed),
+            signed_similarity=metric is Metric.SPHERE,
+        ))
+        for seed in range(3)
+    ]
+    params = SolveParams(metric=metric, mu=mu, d=d, K=K, N=N, max_iterations=40)
+    stacked = _alternate_stack(np.stack([g.entries for g in starts]), params)
+    for report in stacked + [alternate(g, params) for g in starts]:
+        g = gram(report.final_config)
+        assert np.array_equal(report.final_gram.entries, g.entries)
+        assert report.mu_achieved == max_block_magnitude(g, metric)
+        if metric is Metric.SPHERE:
+            assert report.final_diameter == min_angle(report.mu_achieved, metric)
+        else:
+            want = packing_diameter(report.final_config, metric)
+            assert report.final_diameter == pytest.approx(want, abs=1e-14, rel=0)
 
 
 def _ill_conditioned_gram():
