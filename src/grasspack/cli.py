@@ -127,7 +127,7 @@ def _cmd_bound(args) -> int:
             "d": d, "K": K, "N": N, "field": args.field.value, "metric": args.metric.value,
             **{k: v for k, v in report.items() if v is not None},  # degrees: lines only
         })
-    print(json.dumps(out if len(out) > 1 else out[0], indent=2))
+    print(json.dumps(out, indent=2))
     return 0
 
 

@@ -414,8 +414,8 @@ def min_angle(mu: float, metric: Metric) -> float:
 #
 # JSON object {field, d, K, N, blocks} where blocks is a list of N blocks,
 # each a row-major list of d*K entries; complex entries are [re, im] pairs,
-# real entries bare numbers.  Floats round-trip bit-exactly.  The package
-# reads every file through _open_text and writes it through _atomic_text.
+# real entries bare numbers.  Floats, signed zeros too, round-trip bit-exactly.
+# The package reads every file through _open_text and writes it through _atomic_text.
 
 
 def _open_text(path, what: str):
@@ -444,23 +444,17 @@ def _atomic_text(path):
         raise
 
 
-def _entry_to_obj(x, field: Field):
-    if field is Field.COMPLEX:
-        return [float(x.real), float(x.imag)]
-    return float(x)
-
-
 def write_configuration(config: Configuration, path) -> None:
     """Write a configuration file, replacing any old one atomically."""
+    entries = config.blocks.reshape(config.N, -1)
+    if config.field is Field.COMPLEX:
+        entries = entries.view(np.float64).reshape(*entries.shape, 2)
     obj = {
         "field": config.field.value,
         "d": config.d,
         "K": config.K,
         "N": config.N,
-        "blocks": [
-            [_entry_to_obj(x, config.field) for x in block.reshape(-1)]
-            for block in config.blocks
-        ],
+        "blocks": entries.tolist(),
     }
     with _atomic_text(path) as fh:
         json.dump(obj, fh)
@@ -470,27 +464,15 @@ def write_configuration(config: Configuration, path) -> None:
 def read_configuration(path) -> Configuration:
     try:
         with _open_text(path, "configuration file") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    try:
+            obj = json.load(fh)  # bad JSON or UTF-8 raises a ValueError
         field = Field(obj["field"])
         d, K, N = int(obj["d"]), int(obj["K"]), int(obj["N"])
-        raw_blocks = obj["blocks"]
-        if len(raw_blocks) != N:
-            raise ParseError(f"{path}: expected {N} blocks, found {len(raw_blocks)}")
-        blocks = np.zeros((N, d, K), dtype=field.dtype)
-        for n, entries in enumerate(raw_blocks):
-            if len(entries) != d * K:
-                raise ParseError(f"{path}: block {n} has {len(entries)} entries, expected {d * K}")
-            for idx, e in enumerate(entries):
-                value = complex(e[0], e[1]) if field is Field.COMPLEX else float(e)
-                blocks[n, idx // K, idx % K] = value
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        entries = np.array(obj["blocks"], dtype=float)  # so do ragged lists
+        shape = (N, d * K, 2) if field is Field.COMPLEX else (N, d * K)
+        if entries.shape != shape:
+            raise ParseError(f"{path}: blocks have shape {entries.shape}, expected {shape}")
+        return Configuration(field=field, blocks=entries.view(field.dtype).reshape(N, d, K))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed configuration file ({exc})") from exc
-    try:
-        return Configuration(field=field, blocks=blocks)
     except InvalidInput as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -39,7 +39,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .bounds import rho_from_mu
-from .errors import InvalidInput, NotPSD, NumericalFailure, RankExceeded, SingularBlock
+from .errors import (
+    InvalidInput, NotPSD, NumericalFailure, RankDeficient, RankExceeded, SingularBlock,
+)
 from .geometry import (
     Configuration,
     Field,
@@ -126,7 +128,7 @@ def _normalize_stack(A: np.ndarray, K: int, N: int) -> np.ndarray:
 
 
 # Exceptions that fail one trial; the rest of its stack goes on.
-TRIAL_FAILURES = (NumericalFailure, SingularBlock, NotPSD, RankExceeded)
+TRIAL_FAILURES = (NumericalFailure, SingularBlock, NotPSD, RankExceeded, RankDeficient)
 
 # Working-set budget of one trial stack, in array elements.
 _STACK_ELEMENTS = 2**14

@@ -23,8 +23,8 @@ def test_bound_chordal_complex(capsys):
                  "--metric", "chordal", "-d", "4", "-K", "2", "-N", "6"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["bound_value"] == pytest.approx(1.2)
-    assert out["attainable"] is True
+    assert out[0]["bound_value"] == pytest.approx(1.2)
+    assert out[0]["attainable"] is True
 
 
 def test_bound_projective_degrees(capsys):
@@ -32,7 +32,7 @@ def test_bound_projective_degrees(capsys):
                  "-d", "3", "-N", "4"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["degrees"] == pytest.approx(70.5288, abs=1e-3)
+    assert out[0]["degrees"] == pytest.approx(70.5288, abs=1e-3)
 
 
 def test_bound_takes_the_cells_solve_takes(capsys):

@@ -303,12 +303,27 @@ def test_power_mean_chain():
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_configuration_json_roundtrip(tmp_path, field):
     rng = np.random.default_rng(12)
-    config = random_configuration(4, 2, 3, field, rng)
+    blocks = random_configuration(4, 2, 3, field, rng).blocks.copy()
+    # A frame of signed zeros (in the imaginary parts too): np.conj negates them.
+    blocks[1] = np.conj(np.where(np.eye(4, 2) == 1.0, 1.0, -0.0).astype(field.dtype))
+    config = Configuration(field=field, blocks=blocks)
     path = tmp_path / "config.json"
     write_configuration(config, path)
     back = read_configuration(path)
     assert back.field is field
     assert np.array_equal(back.blocks, config.blocks)
+    assert back.blocks.tobytes() == config.blocks.tobytes()
+
+    # The file, built entry by entry.
+    def entry(x):
+        return [float(x.real), float(x.imag)] if field is Field.COMPLEX else float(x)
+
+    want = json.dumps({
+        "field": field.value, "d": 4, "K": 2, "N": 3,
+        "blocks": [[entry(x) for x in block.reshape(-1)] for block in config.blocks],
+    }) + "\n"
+    assert "-0.0" in want
+    assert path.read_bytes() == want.encode()
 
 
 def test_read_configuration_corrupt(tmp_path):
@@ -318,12 +333,31 @@ def test_read_configuration_corrupt(tmp_path):
         read_configuration(path)
     with pytest.raises(ParseError, match="missing.json"):
         read_configuration(tmp_path / "missing.json")
+    path.write_bytes(b'\xff{"field": "real"}')  # not UTF-8
+    with pytest.raises(ParseError, match="malformed"):
+        read_configuration(path)
+    path.write_text('{"field": "real", "d": 1e400, "K": 1, "N": 2, "blocks": []}')
+    with pytest.raises(ParseError, match="malformed"):
+        read_configuration(path)
 
 
 def test_read_configuration_wrong_counts(tmp_path):
     path = tmp_path / "bad2.json"
-    path.write_text(json.dumps({"field": "real", "d": 2, "K": 1, "N": 2, "blocks": [[1.0, 0.0]]}))
-    with pytest.raises(ParseError):
+    lines = [[1.0, 0.0], [0.0, 1.0]]  # two real lines in R^2, as a d=2, K=1, N=2 file
+    pairs = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # the same, complex
+    for header, blocks, match in [
+        ("real", [[1.0, 0.0]], r"\(1, 2\), expected \(2, 2\)"),
+        ("real", [[1.0, 0.0], [0.0]], "malformed"),  # ragged
+        ("complex", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0]]], "malformed"),
+        ("complex", lines, r"expected \(2, 2, 2\)"),  # bare numbers
+        ("real", pairs, r"\(2, 2, 2\), expected \(2, 2\)"),  # [re, im] pairs
+        ("complex", [[x + [0.0] for x in b] for b in pairs], r"expected \(2, 2, 2\)"),
+    ]:
+        path.write_text(json.dumps({"field": header, "d": 2, "K": 1, "N": 2, "blocks": blocks}))
+        with pytest.raises(ParseError, match=match):
+            read_configuration(path)
+    path.write_text(json.dumps({"field": "real", "d": 2, "K": 1, "N": 3, "blocks": lines}))
+    with pytest.raises(ParseError, match=r"\(2, 2\), expected \(3, 2\)"):
         read_configuration(path)
 
 

@@ -10,9 +10,9 @@ import pytest
 import grasspack.harness as harness
 import grasspack.projections as projections
 import grasspack.solver as solver
-from grasspack.bounds import rankin_projective
+from grasspack.bounds import mu_from_rho, rankin_projective
 from grasspack.cli import main
-from grasspack.errors import InvalidInput, NotPSD, NumericalFailure, ParseError
+from grasspack.errors import InvalidInput, NotPSD, NumericalFailure, ParseError, RankDeficient
 from grasspack.geometry import Field, Metric, write_configuration
 from grasspack.harness import (
     ExperimentSpec,
@@ -136,6 +136,11 @@ def test_run_experiment_rejects_degrees_reference_for_subspaces(tmp_path):
     )
     with pytest.raises(InvalidInput):
         run_experiment(spec)
+    # The cell's own unit is read as a squared diameter.
+    path.write_text("4,2,3,1.4,squared_diameter\n")
+    (row,) = run_experiment(spec)
+    assert row.mu_target == mu_from_rho(math.sqrt(1.4), Metric.CHORDAL, 2)
+    assert row.error_vs_reference == 1.4 - row.best_diameter
 
 
 def test_run_experiment_sweep_clamps_mu():
@@ -208,6 +213,18 @@ def test_factorization_error_counts_as_failed_trial(monkeypatch):
     monkeypatch.setattr(solver, "_factor_stack", invalid_factor_stack)
     with pytest.raises(InvalidInput):
         run_experiment(spec)
+
+    # A one-trial cell is solved alone, and counts the same failures: a
+    # start that cannot be drawn, and a solve that raises.
+    (row,) = run_experiment(replace(spec, trials=1, tau=1e-6, max_draws=2))
+    assert row.trials_failed == 1 and math.isnan(row.best_diameter)
+
+    def failing_factor_stack(A, d, K, N):
+        raise NotPSD("injected")
+
+    monkeypatch.setattr(solver, "_factor_stack", failing_factor_stack)
+    (row,) = run_experiment(replace(spec, trials=1))
+    assert row.trials_failed == 1 and math.isnan(row.best_diameter)
 
 
 def _grassmann_lines(**kw):
@@ -582,12 +599,13 @@ FS_PARAMS = SolveParams(
     ("solve_fs_block", None),  # it returns NaN: a non-finite structural iterate
     ("hermitian_eig", np.linalg.LinAlgError("injected")),  # the stacked eigh raises
     ("_split_blocks", np.linalg.LinAlgError("injected")),  # the stop check's block SVD raises
+    ("_factor_stack", RankDeficient("injected")),  # the finish's QR rank check raises
 ])
 def test_one_failing_trial_fails_alone(monkeypatch, site, error):
     bad = 3
     solo = [harness._run_trial(FS_SPEC, FS_PARAMS, k) for k in range(FS_SPEC.trials)]
     item_dims = 1 if site == "solve_fs_block" else 2  # rows of singular values, or matrices
-    module = solver if site == "_split_blocks" else projections
+    module = solver if site in ("_split_blocks", "_factor_stack") else projections
 
     def items(x):
         return x.reshape(-1, *x.shape[x.ndim - item_dims:])

@@ -800,7 +800,7 @@ def test_warm_spectral_matches_full(field, eig_calls):
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-def test_warm_spectral_falls_back_bit_identically(field, eig_calls):
+def test_warm_spectral_falls_back_bit_identically(field, eig_calls, monkeypatch):
     rng = np.random.default_rng(32)
     n, d = 96, 6
     spec = SpectralSetSpec(d=d, trace_target=float(n))
@@ -826,6 +826,16 @@ def test_warm_spectral_falls_back_bit_identically(field, eig_calls):
     for k, (H, V) in enumerate([(H_ok, V_ok), (H_tie, V_tie), (H_far, V_far)]):
         alone = _spectral_stack(H[None], spec, V[None])
         assert all(np.array_equal(a[k], b[0]) for a, b in zip(stack, alone))
+    # A decomposition that raises sends even a start it would certify down the full path.
+    def qr_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "qr", qr_fails)
+    eig_calls.clear()
+    warm = _spectral_stack(H_ok[None], spec, V_ok[None])
+    assert eig_calls == [1]
+    full = _spectral_stack(H_ok[None], spec)
+    assert all(np.array_equal(a, b) for a, b in zip(warm, full))
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

@@ -291,6 +291,8 @@ def test_ill_conditioned_final_fails_only_its_trial():
     (solo,) = _alternate_stack(good[None], FINISH_PARAMS)
     assert solo.iterations_used == 0
     assert_same_report(reports[1], solo)
+    with pytest.raises(SingularBlock):  # alternate raises its one trial's failure
+        alternate(GramMatrix(field=Field.REAL, K=2, N=3, entries=bad), FINISH_PARAMS)
     normalized = normalize_diagonal(GramMatrix(field=Field.REAL, K=2, N=3, entries=bad))
     with pytest.raises(InvalidInput, match="diagonal block 0"):
         factor(normalized, 4)
