@@ -50,17 +50,17 @@ def _check_subspace_args(d: int, K: int, N: int) -> None:
         raise InvalidInput(f"need N >= 2, got N={N}")
 
 
+def _report(bound: float, N: int, limit: int, degrees: float | None = None) -> BoundReport:
+    """A bound whose equality forces equidistance, attainable for N <= limit."""
+    return BoundReport(bound_value=bound, attainable=N <= limit, attainability_limit=limit,
+                       equidistance_implied=True, degrees=degrees)
+
+
 def rankin_chordal(d: int, K: int, N: int, field: Field) -> BoundReport:
     """Squared chordal packing diameter is at most K(d-K)/d * N/(N-1)."""
     _check_subspace_args(d, K, N)
-    bound = (K * (d - K) / d) * (N / (N - 1))
     limit = d * (d + 1) // 2 if field is Field.REAL else d * d
-    return BoundReport(
-        bound_value=bound,
-        attainable=N <= limit,
-        attainability_limit=limit,
-        equidistance_implied=True,
-    )
+    return _report((K * (d - K) / d) * (N / (N - 1)), N, limit)
 
 
 def rankin_spectral(d: int, K: int, N: int, field: Field) -> BoundReport:
@@ -70,17 +70,11 @@ def rankin_spectral(d: int, K: int, N: int, field: Field) -> BoundReport:
     limit is the Lemmens-Seidel cap on how many equi-isoclinic subspaces fit.
     """
     _check_subspace_args(d, K, N)
-    bound = ((d - K) / d) * (N / (N - 1))
     if field is Field.REAL:
         limit = d * (d + 1) // 2 - K * (K + 1) // 2 + 1
     else:
         limit = d * d - K * K + 1
-    return BoundReport(
-        bound_value=bound,
-        attainable=N <= limit,
-        attainability_limit=limit,
-        equidistance_implied=True,
-    )
+    return _report(((d - K) / d) * (N / (N - 1)), N, limit)
 
 
 def rankin_projective(d: int, N: int, field: Field) -> BoundReport:
@@ -92,13 +86,7 @@ def rankin_projective(d: int, N: int, field: Field) -> BoundReport:
         raise InvalidInput(f"need N >= 2, got N={N}")
     bound = ((d - 1) * N) / (d * (N - 1))
     limit = d * (d + 1) // 2 if field is Field.REAL else d * d
-    return BoundReport(
-        bound_value=bound,
-        attainable=N <= limit,
-        attainability_limit=limit,
-        equidistance_implied=True,
-        degrees=math.degrees(math.asin(math.sqrt(min(bound, 1.0)))),
-    )
+    return _report(bound, N, limit, math.degrees(math.asin(math.sqrt(min(bound, 1.0)))))
 
 
 def cell_bound(space: str, metric: Metric, field: Field, d: int, K: int, N: int) -> BoundReport:

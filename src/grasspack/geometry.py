@@ -176,6 +176,17 @@ def as_blocks(entries: np.ndarray, K: int, N: int) -> np.ndarray:
     return entries.reshape(entries.shape[:-2] + (N, K, N, K)).swapaxes(-3, -2)
 
 
+def _set_diagonal_blocks(A: np.ndarray, K: int, N: int, value: float) -> None:
+    """Set the K-by-K diagonal blocks of a C-contiguous (..., KN, KN) array to
+    ``value`` times I_K in place: entry (i, j) of block n is flat entry
+    n (KN + 1) K + i KN + j, so each (i, j) is one strided write."""
+    KN = K * N
+    flat = A.reshape(A.shape[:-2] + (-1,))
+    for i in range(K):
+        for j in range(K):
+            flat[..., i * KN + j :: (KN + 1) * K] = value if i == j else 0.0
+
+
 def from_blocks(B: np.ndarray) -> np.ndarray:
     """Inverse of :func:`as_blocks`."""
     N, _, K, _ = B.shape
@@ -239,8 +250,7 @@ def _block_norm_grid(A: np.ndarray, K: int, N: int) -> np.ndarray:
     """
     if K == 1:
         grid = np.abs(A)  # |conj(z)| = |z|, so already symmetric
-        idx = np.arange(N)
-        grid[..., idx, idx] = 0.0
+        _set_diagonal_blocks(grid, 1, N, 0.0)
         return grid
     F = A.view(np.float64) if np.iscomplexobj(A) else A
     sq = F * F

@@ -154,7 +154,10 @@ def _data_lines(path, what: str) -> list:
     """(line number, stripped text) of each line of a text table that is
     neither blank nor a ``#`` comment."""
     with _open_text(path, what) as fh:
-        stripped = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
+        try:
+            stripped = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1)]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {what} is not UTF-8 text ({exc})") from exc
     return [(lineno, text) for lineno, text in stripped if text and not text.startswith("#")]
 
 

@@ -18,7 +18,7 @@ __all__ = ["hermitian_eig", "qr_orthonormal", "symmetrize"]
 
 
 def _require_finite(A: np.ndarray, name: str = "matrix") -> None:
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InvalidInput(f"{name} contains non-finite entries")
 
 
@@ -31,7 +31,7 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     """
     # Conjugating the transpose into C order first, not adding it, runs about
     # 4x faster on complex 192x192 matrices; addition commutes, so same bits.
-    out = np.conjugate(np.swapaxes(A, -1, -2), order="C")
+    out = np.conjugate(A.swapaxes(-1, -2), order="C")
     out += A
     out *= 0.5  # the bits of / 2 (up to a zero's sign), without complex division
     return out
@@ -50,14 +50,13 @@ def hermitian_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A must be Hermitian; only its lower triangle is read.  Eigenvalues come
     back nonincreasing, paired column-for-column with an orthonormal
-    eigenvector matrix.  A (..., n, n) stack is decomposed matrix by matrix,
-    each exactly as it would be alone.
+    eigenvector matrix, as reversed views of LAPACK's output, not copies.
+    A (..., n, n) stack is decomposed matrix by matrix, each exactly as alone.
     """
-    A = np.asarray(A)
     _require_finite(A)
     w, U = np.linalg.eigh(A)
     # LAPACK returns ascending order; flip to nonincreasing.
-    return w[..., ::-1].copy(), U[..., ::-1].copy()
+    return w[..., ::-1], U[..., ::-1]
 
 
 def qr_orthonormal(A: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from .geometry import (
     GramMatrix,
     Metric,
     _mu_range,
+    _set_diagonal_blocks,
     _split_blocks,
     as_blocks,
     upper_block_indices,
@@ -292,8 +293,7 @@ def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndar
             scale = np.where(over, mu / mags * (1.0 - _FEAS_SHRINK), 1.0)
         expanded = scale[..., :, None, :, None]
         H = (A.reshape(A.shape[:-2] + (N, K, N, K)) * expanded).reshape(A.shape)
-        idx = np.arange(N)
-        as_blocks(H, K, N)[..., idx, idx, :, :] = np.eye(K, dtype=H.dtype)
+        _set_diagonal_blocks(H, K, N, 1.0)
         return H
     if spec.metric is Metric.SPHERE:
         out = np.clip(blocks, -1.0, mu)
@@ -327,8 +327,7 @@ def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndar
     iu, ju = upper_block_indices(N)
     B[..., iu, ju, :, :] = out
     B[..., ju, iu, :, :] = np.swapaxes(out, -1, -2).conj()
-    idx = np.arange(N)
-    B[..., idx, idx, :, :] = np.eye(K, dtype=H.dtype)
+    _set_diagonal_blocks(H, K, N, 1.0)
     return H
 
 
@@ -358,11 +357,11 @@ def _water_fill(lam: np.ndarray, target: float) -> np.ndarray:
     negative, which raises every eigenvalue.
     """
     r = lam.shape[-1]
-    shifts = (np.cumsum(lam, axis=-1) - target) / np.arange(1, r + 1)
+    shifts = (lam.cumsum(-1) - target) / np.arange(1, r + 1)
     above = lam > shifts
     above[..., 0] = True  # lam_1 - shift_1 = target > 0, lost only to rounding
-    rho = r - 1 - np.argmax(above[..., ::-1], axis=-1)
-    gamma = np.take_along_axis(shifts, rho[..., None], axis=-1)
+    rho = r - 1 - above[..., ::-1].argmax(-1)
+    gamma = shifts.reshape(-1, r)[np.arange(rho.size), rho.ravel()].reshape(rho.shape + (1,))
     return np.maximum(lam - gamma, 0.0)
 
 
@@ -427,10 +426,10 @@ def _warm_top(H: np.ndarray, V: np.ndarray):
 
 
 def _full_top(H: np.ndarray, r: int):
-    """Top r eigenpairs of a Hermitian matrix or stack, from its full
-    decomposition: (eigenvalues, eigenvectors)."""
+    """Top r eigenpairs (eigenvalues, eigenvectors) of a Hermitian matrix or
+    stack; the vectors are copied, as BLAS takes no reversed (negative) stride."""
     lam, U = hermitian_eig(H)
-    return lam[..., :r], U[..., :r]
+    return lam[..., :r], U[..., :r].copy()
 
 
 def _spectral_stack(H: np.ndarray, spec: SpectralSetSpec, V: np.ndarray | None = None):
@@ -451,7 +450,7 @@ def _spectral_stack(H: np.ndarray, spec: SpectralSetSpec, V: np.ndarray | None =
     else:
         lam, V = _full_top(H, min(spec.d, H.shape[-1]))
     w = _water_fill(lam, spec.trace_target)
-    P = symmetrize((V * w[..., None, :]) @ np.swapaxes(V, -1, -2).conj())
+    P = symmetrize((V * w[..., None, :]) @ V.swapaxes(-1, -2).conj())
     return P, np.ascontiguousarray(V) if warm else None
 
 

@@ -8,23 +8,24 @@ block magnitude and packing diameter measured on it.  The distance between
 successive iterate pairs never increases; the per-iteration gap history is
 kept as the primary convergence diagnostic.
 
-Independent trials of one shape run as a stack (``_alternate_stack``): the
-iterates are one (T, KN, KN) array, and each iteration splits them into
-blocks once, for both the stop check and the structural projection (block
-norms for the chordal metric, closed-form singular values for K = 2, an
-SVD otherwise), and makes one spectral projection, whose top eigenvalues
-get the closed-form trace shift.  At KN >= ``projections._WARM_MIN_KN``
-each trial also carries its iterate's top-d eigenbasis (a (T, KN, d) stack
-pruned and redone with the iterates): the first iteration decomposes each
-iterate in full, and later ones refine the carried basis by certified
-subspace iteration, at most 22 products with the iterate, falling back to
-the full decomposition for any trial whose certificate fails (see
-``projections``).  A trial that meets the cap leaves the stack.  The finish
-(normalize, factor, measure the frames' Gram matrix) runs once per stack,
-one batched call per step.  Each trial's report is bit-identical to solving
-it alone, and ``alternate`` is the one-trial call; so a stack in which any
-trial fails is solved again trial by trial, and only the trials that fail
-alone fail.
+Independent trials of one shape run as a stack (``_alternate_stack``) of as
+many as fit ``_STACK_ELEMENTS`` = 2**16 array elements (seven at KN = 96,
+one at KN = 192): the iterates are one (T, KN, KN) array, and each iteration
+splits them into blocks once, for both the stop check and the structural
+projection (block norms for the chordal metric, closed-form singular values
+for K = 2, an SVD otherwise), and makes one spectral projection, whose top
+eigenvalues get the closed-form trace shift.  At KN >= ``_WARM_MIN_KN`` each
+trial also carries its iterate's top-d eigenbasis (a (T, KN, d) stack pruned
+and redone with the iterates): the first iteration decomposes each iterate
+in full, and later ones refine the carried basis by certified subspace
+iteration, at most 22 products with the iterate, falling back to the full
+decomposition for any trial whose certificate fails (see ``projections``).
+A trial that meets the cap leaves the stack.  The finish (normalize,
+factor, measure the frames' Gram matrix) runs once per stack, one batched
+call per step.  Each trial's report is bit-identical to solving it alone,
+and ``alternate`` is the one-trial call; so a stack in which any trial
+fails is solved again trial by trial, and only the trials that fail alone
+fail.
 Validation runs at the boundary: starts are ``GramMatrix`` entries, and each
 final matrix becomes a ``GramMatrix`` again.  Inside the loop the iterates
 stay exactly Hermitian by construction (see ``projections``) and are not
@@ -34,6 +35,7 @@ its structural iterate is not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -131,7 +133,7 @@ def _normalize_stack(A: np.ndarray, K: int, N: int) -> np.ndarray:
 TRIAL_FAILURES = (NumericalFailure, SingularBlock, NotPSD, RankExceeded, RankDeficient)
 
 # Working-set budget of one trial stack, in array elements.
-_STACK_ELEMENTS = 2**14
+_STACK_ELEMENTS = 2**16
 
 
 def _stack_trials(metric: Metric, K: int, N: int) -> int:
@@ -164,11 +166,10 @@ def _iterate(G0s: np.ndarray, params: SolveParams) -> tuple:
     V = None  # top eigenbases of the live iterates, when the spectral step keeps them
     for it in range(params.max_iterations):
         parts = _split_blocks(G, params.metric, params.K, params.N)
-        done = np.max(parts[1].reshape(len(G), -1), axis=1) <= limit
-        if np.any(done):
-            for a in np.flatnonzero(done):
-                t = live[a]
-                finals[t], iterations[t] = G[a].copy(), it
+        done = parts[1].reshape(len(G), -1).max(1) <= limit
+        if done.any():
+            for t, final in zip(live[done].tolist(), G[done]):
+                finals[t], iterations[t] = final, it
             keep = ~done
             live, G = live[keep], G[keep]
             parts = tuple(None if x is None else x[keep] for x in parts)
@@ -176,11 +177,11 @@ def _iterate(G0s: np.ndarray, params: SolveParams) -> tuple:
             if not live.size:
                 break
         H = _cap_blocks(G, struct, parts)
-        step_gaps = np.sqrt(_frobenius_sq(G - H))
-        if not np.all(np.isfinite(step_gaps)):
+        step_gaps = np.sqrt(_frobenius_sq(G - H)).tolist()
+        if not all(map(math.isfinite, step_gaps)):
             raise NumericalFailure("structural projection gave a non-finite iterate")
         G, V = _spectral_stack(H, spectral, V)
-        for t, gap in zip(live.tolist(), step_gaps.tolist()):
+        for t, gap in zip(live.tolist(), step_gaps):
             gaps[t].append(gap)
     for a, t in enumerate(live):
         finals[t] = G[a]

@@ -183,6 +183,23 @@ def test_solve_missing_reference_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["export", "solve"])
+def test_non_utf8_csv_is_a_parse_error(tmp_path, capsys, command):
+    # A results file (export --in) or reference file (--mu-from-ref) whose
+    # first byte is 0xff fails with exit code 2 and a message, not a traceback.
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff3,1,4,70.529,degrees\n")
+    if command == "export":
+        args = ["export", "--format", "plot_data", "--in", str(bad), "--out-dir", str(tmp_path)]
+    else:
+        args = ["solve", "--space", "projective", "-d", "3", "-N", "4", "--mu-from-ref", str(bad),
+                "--trials", "1", "--max-iter", "50", "--out", str(tmp_path / "r.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv" in err and "not UTF-8" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_solve_reads_the_reference_file_once(monkeypatch, tmp_path):
     ref = tmp_path / "refs.csv"
     ref.write_text("3,1,4,70.529,degrees\n")

@@ -186,6 +186,11 @@ def _below_bound_mu(N, fraction):
 
 STACK_CASES = {
     "real_chordal_lines": (Metric.CHORDAL, Field.REAL, 3, 1, 7, math.cos(math.radians(54.5)), 300),
+    # The largest full-decomposition K = 1 stack the benchmark runs (lines in
+    # R^5, N = 19): three trials stop at 221-237 iterations, three at the cap.
+    "real_chordal_lines_d5n19": (
+        Metric.CHORDAL, Field.REAL, 5, 1, 19, math.cos(math.radians(52.0)), 300,
+    ),
     "complex_chordal_kn48": (
         Metric.CHORDAL, Field.COMPLEX, 8, 2, 24, _below_bound_mu(24, 0.7), 150,
     ),
@@ -335,6 +340,29 @@ def test_kn96_stack_case_takes_warm_path():
     for case in ("complex_chordal_kn48", "complex_chordal_kn96"):
         metric, field, d, K, N, mu, cap = STACK_CASES[case]
         assert K * N >= projections._WARM_MIN_KN
+
+
+def test_line_solve_decomposes_once_per_iteration(monkeypatch):
+    # Below _WARM_MIN_KN each iteration's spectral projection is one full
+    # decomposition of the whole stack, through projections.hermitian_eig.
+    metric, field, d, K, N, mu, cap = STACK_CASES["real_chordal_lines_d5n19"]
+    assert K * N < projections._WARM_MIN_KN
+    starts = np.stack([
+        gram(initial_configuration(d, K, N, field, InitParams(tau=0.9, seed=seed))).entries
+        for seed in range(6)
+    ])
+    params = SolveParams(metric=metric, mu=mu, d=d, K=K, N=N, max_iterations=cap)
+    sizes = []
+    eig = projections.hermitian_eig
+    monkeypatch.setattr(projections, "hermitian_eig", lambda A: sizes.append(len(A)) or eig(A))
+    stacked = _alternate_stack(starts, params)
+    used = [r.iterations_used for r in stacked]
+    # Each iteration decomposes the trials still in the stack, once.
+    assert sizes == [sum(u > it for u in used) for it in range(max(used))]
+    sizes.clear()
+    solo = alternate(GramMatrix(field=field, K=K, N=N, entries=starts[2]), params)
+    assert sizes == [1] * solo.iterations_used
+    assert solo.stopped_early
 
 
 def test_warm_spectral_solve_matches_full_solve(monkeypatch):
