@@ -1,4 +1,5 @@
-"""Rankin-type upper bounds and feasibility-parameter conversions.
+"""Rankin-type upper bounds, and the diameter-to-cap conversions
+:func:`mu_from_rho` and :func:`rho_from_mu`, re-exported from geometry.
 
 The bounds come from embedding the packing space into a Euclidean sphere;
 attaining them forces strong structure (equidistant or equi-isoclinic
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInput
-from .geometry import Field, Metric, _mu_range
+from .geometry import Field, Metric, mu_from_rho, rho_from_mu
 
 __all__ = [
     "BoundReport",
@@ -107,29 +108,3 @@ def cell_bound(space: str, metric: Metric, field: Field, d: int, K: int, N: int)
         "use an explicit mu or a reference file"
     )
 
-
-def mu_from_rho(rho: float, metric: Metric, K: int = 1) -> float:
-    """Convert a target packing diameter into the block-magnitude cap.
-
-    Chordal: mu = sqrt(K - rho^2); spectral and sphere: mu = sqrt(1 - rho^2);
-    Fubini-Study: mu = cos(rho).
-    """
-    if metric is Metric.FUBINI_STUDY:
-        if not 0.0 <= rho <= math.pi / 2 + 1e-12:
-            raise InvalidInput(f"fubini_study rho must lie in [0, pi/2], got {rho}")
-        return max(0.0, math.cos(rho))
-    # Otherwise rho and mu share [0, hi], hi the metric's largest mu.
-    hi = _mu_range(metric, K)[1]
-    if not 0.0 <= rho <= hi + 1e-12:
-        raise InvalidInput(f"{metric.value} rho must lie in [0, {hi:g}], got {rho}")
-    return math.sqrt(max(0.0, (K if metric is Metric.CHORDAL else 1.0) - rho * rho))
-
-
-def rho_from_mu(mu: float, metric: Metric, K: int = 1) -> float:
-    """Inverse of :func:`mu_from_rho`, for mu in [0, the metric's largest mu]."""
-    hi = _mu_range(metric, K)[1]
-    if not 0.0 <= mu <= hi + 1e-12:
-        raise InvalidInput(f"{metric.value} mu must lie in [0, {hi:g}], got {mu}")
-    if metric is Metric.FUBINI_STUDY:
-        return math.acos(min(1.0, mu))
-    return math.sqrt(max(0.0, (K if metric is Metric.CHORDAL else 1.0) - mu * mu))

@@ -3,8 +3,10 @@
 A configuration is a list of N orthonormal d-by-K frames, one per subspace.
 Its Gram matrix is the KN-by-KN block matrix of all pairwise frame products;
 the singular values of the (m, n) off-diagonal block are the cosines of the
-principal angles between subspaces m and n, which is all any of the metrics
-here need.
+principal angles between subspaces m and n.  Every chordal, spectral and
+Fubini-Study distance is :func:`rho_from_mu` of one block magnitude, measured
+by :func:`_split_blocks` as the solver measures it; only the geodesic
+distance, which needs every angle, comes from :func:`block_cosines`.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ __all__ = [
     "gram",
     "factor",
     "block_cosines",
-    "cosine_distances",
-    "cosine_magnitudes",
     "max_block_magnitude",
     "min_angle",
+    "mu_from_rho",
+    "rho_from_mu",
     "as_blocks",
     "from_blocks",
     "upper_block_indices",
@@ -209,34 +211,6 @@ def block_cosines(G: GramMatrix) -> np.ndarray:
     return np.linalg.svd(as_blocks(G.entries, G.K, G.N)[iu, ju], compute_uv=False)
 
 
-def cosine_distances(c: np.ndarray, metric: Metric) -> np.ndarray:
-    """Subspace distances from nonincreasing principal-angle cosines, one per
-    row of ``c`` (the last axis holds one pair's K cosines)."""
-    # Roundoff pushes cosines slightly above 1; arccos would produce NaN.
-    c = np.clip(c, 0.0, 1.0)
-    if metric is Metric.CHORDAL:
-        return np.sqrt(np.maximum(0.0, np.sum(1.0 - c * c, axis=-1)))
-    if metric is Metric.SPECTRAL:
-        return np.sqrt(np.maximum(0.0, 1.0 - c[..., 0] ** 2))
-    if metric is Metric.FUBINI_STUDY:
-        return np.arccos(np.minimum(1.0, np.prod(c, axis=-1)))
-    if metric is Metric.GEODESIC:
-        return np.linalg.norm(np.arccos(c), axis=-1)
-    raise InvalidInput(f"no subspace distance for {metric}; sphere points use inner products")
-
-
-def cosine_magnitudes(c: np.ndarray, metric: Metric) -> np.ndarray:
-    """Frobenius norm, 2-norm, or absolute determinant of the blocks whose
-    singular values are the rows of ``c``."""
-    if metric is Metric.CHORDAL:
-        return np.sqrt(np.sum(c * c, axis=-1))
-    if metric is Metric.SPECTRAL:
-        return c[..., 0]
-    if metric is Metric.FUBINI_STUDY:
-        return np.prod(c, axis=-1)
-    raise InvalidInput(f"no block magnitude from cosines for metric {metric}")
-
-
 def _block_norm_grid(A: np.ndarray, K: int, N: int) -> np.ndarray:
     """Frobenius norms of the K-by-K blocks of an exactly Hermitian matrix or
     C-contiguous (..., KN, KN) stack, as an (..., N, N) grid.
@@ -282,9 +256,12 @@ def _split_blocks(A: np.ndarray, metric: Metric, K: int, N: int) -> tuple:
     norms (chordal), 2-norms (spectral), absolute determinants (Fubini-Study),
     or the raw signed entry (sphere, real K = 1 only, so like-signed
     near-neighbors dominate); the largest is the largest block magnitude.
+    The geodesic metric has no block magnitude.
     """
     if metric is Metric.CHORDAL:
         return None, _block_norm_grid(A, K, N), None, None, None, None
+    if metric is Metric.GEODESIC:
+        raise InvalidInput("no block magnitude for the geodesic metric; it needs every angle")
     iu, ju = upper_block_indices(N)
     blocks = as_blocks(A, K, N)[..., iu, ju, :, :]
     if metric is Metric.SPHERE:
@@ -295,7 +272,8 @@ def _split_blocks(A: np.ndarray, metric: Metric, K: int, N: int) -> tuple:
         s, absdet, sums = _plane_svd(blocks)
         return blocks, absdet if metric is Metric.FUBINI_STUDY else s[..., 0], None, s, None, sums
     U, s, Vh = np.linalg.svd(blocks)
-    return blocks, cosine_magnitudes(s, metric), U, s, Vh, None
+    mags = np.prod(s, axis=-1) if metric is Metric.FUBINI_STUDY else s[..., 0]
+    return blocks, mags, U, s, Vh, None
 
 
 def _plane_svd(B: np.ndarray) -> tuple:
@@ -319,35 +297,39 @@ def _plane_svd(B: np.ndarray) -> tuple:
     return np.stack([s1, s2], axis=-1), absdet, sums
 
 
-def _angle_cosines(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Singular values of S*T, sorted nonincreasing."""
-    S = np.asarray(S)
-    T = np.asarray(T)
-    if S.shape != T.shape or S.ndim != 2:
-        raise InvalidInput(f"frame shapes differ: {S.shape} vs {T.shape}")
-    return np.linalg.svd(S.conj().T @ T, compute_uv=False)
-
-
 def principal_angles(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Principal angles between two subspaces given orthonormal frames.
 
     Returns K angles in [0, pi/2], nondecreasing.
     """
-    return np.arccos(np.clip(_angle_cosines(S, T), 0.0, 1.0))
+    if np.shape(S) != np.shape(T) or np.ndim(S) != 2:
+        raise InvalidInput(f"frame shapes differ: {np.shape(S)} vs {np.shape(T)}")
+    return np.arccos(np.clip(np.linalg.svd(np.conj(S).T @ T, compute_uv=False), 0.0, 1.0))
 
 
 def dist(S: np.ndarray, T: np.ndarray, metric: Metric) -> float:
-    """Distance between the subspaces spanned by frames S and T.
+    """Distance between the subspaces spanned by orthonormal frames S and T:
+    the packing diameter of the pair.
 
     Supports the chordal, spectral, Fubini-Study, and geodesic metrics.
     The sphere metric acts on points, not subspaces, and is rejected here.
     """
-    return float(cosine_distances(_angle_cosines(S, T), metric))
+    if np.shape(S) != np.shape(T):
+        raise InvalidInput(f"frame shapes differ: {np.shape(S)} vs {np.shape(T)}")
+    field = Field.COMPLEX if np.iscomplexobj(S) or np.iscomplexobj(T) else Field.REAL
+    return packing_diameter(Configuration(field=field, blocks=np.stack([S, T])), metric)
 
 
 def packing_diameter(config: Configuration, metric: Metric) -> float:
-    """Minimum pairwise distance within a configuration."""
-    return float(np.min(cosine_distances(block_cosines(gram(config)), metric)))
+    """Minimum pairwise distance: :func:`rho_from_mu` of the largest block
+    magnitude, or (geodesic) the least 2-norm of a pair's principal angles."""
+    if metric is Metric.SPHERE:
+        raise InvalidInput("no subspace distance for sphere; sphere points use inner products")
+    g = gram(config)
+    if metric is Metric.GEODESIC:
+        angles = np.arccos(np.clip(block_cosines(g), 0.0, 1.0))
+        return float(np.min(np.linalg.norm(angles, axis=-1)))
+    return rho_from_mu(max_block_magnitude(g, metric), metric, config.K)
 
 
 def _gram_entries(blocks: np.ndarray) -> np.ndarray:
@@ -418,6 +400,31 @@ def min_angle(mu: float, metric: Metric) -> float:
     clamped into the metric's mu range."""
     lo, hi = _mu_range(metric, 1)
     return math.acos(min(hi, max(lo, mu)))
+
+
+def mu_from_rho(rho: float, metric: Metric, K: int = 1) -> float:
+    """Convert a target packing diameter into the block-magnitude cap.
+
+    Chordal: mu = sqrt(K - rho^2); spectral and sphere: mu = sqrt(1 - rho^2);
+    Fubini-Study: mu = cos(rho).
+    """
+    # Fubini-Study rho lies in [0, pi/2]; otherwise rho shares mu's [0, hi].
+    hi = math.pi / 2 if metric is Metric.FUBINI_STUDY else _mu_range(metric, K)[1]
+    if not 0.0 <= rho <= hi + 1e-12:
+        raise InvalidInput(f"{metric.value} rho must lie in [0, {hi:g}], got {rho}")
+    if metric is Metric.FUBINI_STUDY:
+        return max(0.0, math.cos(rho))
+    return math.sqrt(max(0.0, (K if metric is Metric.CHORDAL else 1.0) - rho * rho))
+
+
+def rho_from_mu(mu: float, metric: Metric, K: int = 1) -> float:
+    """Inverse of :func:`mu_from_rho`, for mu in [0, the metric's largest mu]."""
+    hi = _mu_range(metric, K)[1]
+    if not 0.0 <= mu <= hi * (1.0 + 1e-8):  # roundoff on frames orthonormal to 1e-10
+        raise InvalidInput(f"{metric.value} mu must lie in [0, {hi:g}], got {mu}")
+    if metric is Metric.FUBINI_STUDY:
+        return math.acos(min(1.0, mu))
+    return math.sqrt(max(0.0, (K if metric is Metric.CHORDAL else 1.0) - mu * mu))
 
 
 # --- configuration file format -------------------------------------------

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import cell_bound, mu_from_rho
+from .bounds import cell_bound
 from .errors import InitFailure, InvalidInput, ParseError
 from .geometry import (
     Field,
@@ -31,12 +31,13 @@ from .geometry import (
     _atomic_text,
     _mu_range,
     _open_text,
-    block_cosines,
-    cosine_distances,
     gram,
     max_block_magnitude,
     min_angle,
+    mu_from_rho,
+    packing_diameter,
     read_configuration,
+    rho_from_mu,
 )
 from .solver import TRIAL_FAILURES, SolveParams, _alternate_stack, _stack_trials, alternate
 from .starts import InitParams, _initial_configurations
@@ -142,7 +143,7 @@ class ExperimentSpec:
                                    f"not {self.mu_source}")
         if self.sweep is not None:
             lo, hi, steps = self.sweep
-            if not (lo > 0 and hi >= lo and int(steps) >= 1):
+            if not (0 < lo <= hi < math.inf and int(steps) >= 1):
                 raise InvalidInput(f"bad sweep specification {self.sweep}")
         if self.trials < 1:
             raise InvalidInput("trials must be >= 1")
@@ -406,15 +407,12 @@ def evaluate_file(path) -> dict:
     """Diameters, block magnitudes, and Gram spectrum of a stored configuration."""
     config = read_configuration(path)
     g = gram(config)
-    c = block_cosines(g)
-    diameters = {
-        m.value: float(np.min(cosine_distances(c, m)))
-        for m in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY, Metric.GEODESIC)
-    }
     magnitudes = {
         m.value: max_block_magnitude(g, m)
         for m in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY)
     }
+    diameters = {m: rho_from_mu(mu, Metric(m), config.K) for m, mu in magnitudes.items()}
+    diameters[Metric.GEODESIC.value] = packing_diameter(config, Metric.GEODESIC)
     eigenvalues = np.linalg.eigvalsh(g.entries)
     out = {
         "d": config.d,

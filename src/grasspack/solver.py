@@ -40,7 +40,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .bounds import rho_from_mu
 from .errors import (
     InvalidInput, NotPSD, NumericalFailure, RankDeficient, RankExceeded, SingularBlock,
 )
@@ -54,6 +53,7 @@ from .geometry import (
     _split_blocks,
     as_blocks,
     min_angle,
+    rho_from_mu,
 )
 from .linalg import _frobenius_sq, symmetrize
 from .projections import _SCAN, SpectralSetSpec, StructuralSetSpec, _cap_blocks, _spectral_stack
@@ -81,8 +81,8 @@ class SolveParams:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be >= 1")
-        if self.stop_slack < 0:
-            raise InvalidInput("stop_slack must be >= 0")
+        if not 0 <= self.stop_slack < math.inf:  # a NaN slack never lets a trial stop
+            raise InvalidInput(f"stop_slack must be finite and >= 0, got {self.stop_slack}")
         if not (1 <= self.K <= self.d):
             raise InvalidInput(f"need 1 <= K <= d, got K={self.K}, d={self.d}")
         # Checks the metric, mu's range for it, and N.

@@ -138,6 +138,19 @@ def test_solve_empty_range_is_usage_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--stop-slack", "nan"], "stop_slack"),
+    (["--sweep", "1:inf:2"], "bad sweep specification"),
+])
+def test_solve_non_finite_setting_is_usage_error(tmp_path, capsys, args, message):
+    out_path = tmp_path / "results.csv"
+    code = main(["solve", "--space", "projective", "-d", "3", "-N", "4", "--mu", "0.5",
+                 "--trials", "1", "--out", str(out_path), *args])
+    assert code == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_solve_without_cells_is_usage_error(tmp_path, capsys):
     out_path = tmp_path / "results.csv"
     code = main(["solve", "--space", "grassmann", "-d", "2", "-K", "2", "-N", "3",

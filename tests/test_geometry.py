@@ -10,8 +10,7 @@ from grasspack.geometry import (
     Field,
     GramMatrix,
     Metric,
-    block_cosines,
-    cosine_magnitudes,
+    as_blocks,
     dist,
     factor,
     gram,
@@ -88,6 +87,25 @@ def test_dist_rejects_sphere_metric():
     S = _line(1, 0)
     with pytest.raises(InvalidInput):
         dist(S, S, Metric.SPHERE)
+    with pytest.raises(InvalidInput):
+        packing_diameter(Configuration(field=Field.REAL, blocks=np.stack([S, S])), Metric.SPHERE)
+
+
+def test_dist_is_the_pairs_packing_diameter():
+    rng = np.random.default_rng(13)
+    for field, K in ((Field.REAL, 1), (Field.COMPLEX, 2), (Field.REAL, 3)):
+        pair = random_configuration(6, K, 2, field, rng)
+        for metric in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY, Metric.GEODESIC):
+            assert dist(*pair.blocks, metric) == packing_diameter(pair, metric)
+    # Frames orthonormal within the Configuration tolerance, not to roundoff.
+    S = np.eye(3)[:, :2] * (1.0 + 4e-11)
+    for metric in (Metric.CHORDAL, Metric.SPECTRAL, Metric.FUBINI_STUDY, Metric.GEODESIC):
+        assert dist(S, S, metric) == 0.0
+    S = np.eye(3)[:, :1]
+    with pytest.raises(InvalidInput, match="orthonormal"):
+        dist(S, 2.0 * S, Metric.CHORDAL)
+    with pytest.raises(InvalidInput):
+        dist(S, np.eye(3)[:, :2], Metric.CHORDAL)
 
 
 def test_dist_symmetry_and_unitary_invariance():
@@ -270,13 +288,22 @@ def test_max_block_magnitude_matches_brute_force():
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
+def test_geodesic_has_no_block_magnitude(K):
+    config = random_configuration(5, K, 3, Field.REAL, np.random.default_rng(K))
+    with pytest.raises(InvalidInput):
+        max_block_magnitude(gram(config), Metric.GEODESIC)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_chordal_block_magnitude_matches_cosines(field, K):
     # The chordal magnitudes come from squared entries, not from an SVD.
     rng = np.random.default_rng(10 + K)
     for N in (2, 7, 30):
         g = gram(random_configuration(6, K, N, field, rng))
-        want = np.max(cosine_magnitudes(block_cosines(g), Metric.CHORDAL))
+        iu, ju = np.triu_indices(N, 1)
+        sigma = np.linalg.svd(as_blocks(g.entries, K, N)[iu, ju], compute_uv=False)
+        want = np.max(np.linalg.norm(sigma, axis=-1))
         assert max_block_magnitude(g, Metric.CHORDAL) == pytest.approx(want, abs=1e-14)
 
 

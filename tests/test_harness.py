@@ -394,8 +394,7 @@ def test_evaluate_file_roundtrip_matches_report(tmp_path):
         write_configuration(rep.final_config, path)
         out = evaluate_file(path)
         assert out["max_block_magnitudes"][metric.value] == rep.mu_achieved
-        diameter = out["packing_diameters"][metric.value]
-        assert diameter == pytest.approx(rep.final_diameter, abs=1e-12)
+        assert out["packing_diameters"][metric.value] == rep.final_diameter
         if K == 1:
             assert out["min_angle_degrees"] == harness._report_value(metric, K, rep)
 
@@ -551,6 +550,15 @@ LINES = dict(space="projective", field=Field.REAL, metric=Metric.CHORDAL,
 def test_spec_rejects_a_mu_input_its_source_does_not_read(inputs, field):
     with pytest.raises(InvalidInput, match=field):
         ExperimentSpec(**LINES, **inputs)
+
+
+@pytest.mark.parametrize("sweep", [
+    (1.0, math.inf, 2), (1.0, math.nan, 2), (math.nan, 2.0, 2), (0.0, 2.0, 2), (2.0, 1.0, 2),
+    (1.0, 2.0, 0),
+])
+def test_spec_rejects_a_bad_sweep(sweep):
+    with pytest.raises(InvalidInput, match="bad sweep specification"):
+        ExperimentSpec(**LINES, sweep=sweep)
 
 
 @pytest.mark.parametrize("field", ["d_values", "K_values", "N_values"])

@@ -15,7 +15,9 @@ from grasspack.geometry import (
     max_block_magnitude,
     min_angle,
     packing_diameter,
+    write_configuration,
 )
+from grasspack.harness import evaluate_file
 from grasspack.solver import (
     _STACK_ELEMENTS,
     TRIAL_FAILURES,
@@ -153,6 +155,13 @@ def test_alternate_rejects_geodesic():
         SolveParams(metric=Metric.GEODESIC, mu=0.5, d=3, K=1, N=4)
 
 
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -1e-9])
+def test_solve_params_reject_a_bad_stop_slack(slack):
+    # max <= mu + nan never holds, so a NaN slack would run every trial to the cap.
+    with pytest.raises(InvalidInput, match="stop_slack"):
+        SolveParams(metric=Metric.CHORDAL, mu=0.5, d=3, K=1, N=4, stop_slack=slack)
+
+
 def test_alternate_shape_mismatch():
     g0 = GramMatrix(field=Field.REAL, K=1, N=3, entries=np.eye(3))
     params = SolveParams(metric=Metric.CHORDAL, mu=0.5, d=3, K=1, N=4)
@@ -246,9 +255,10 @@ REPORT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
-def test_report_describes_the_returned_packing(case):
+def test_report_describes_the_returned_packing(case, tmp_path):
     # The report's Gram matrix, block magnitude and diameter are all those of
-    # the returned configuration, stacked and solo alike.
+    # the returned configuration, stacked and solo alike, and so is the
+    # diameter `grasspack eval` reads from the saved configuration.
     metric, field, d, K, N, mu = REPORT_CASES[case]
     starts = [
         gram(initial_configuration(
@@ -266,8 +276,10 @@ def test_report_describes_the_returned_packing(case):
         if metric is Metric.SPHERE:
             assert report.final_diameter == min_angle(report.mu_achieved, metric)
         else:
-            want = packing_diameter(report.final_config, metric)
-            assert report.final_diameter == pytest.approx(want, abs=1e-14, rel=0)
+            assert report.final_diameter == packing_diameter(report.final_config, metric)
+            write_configuration(report.final_config, tmp_path / "packing.json")
+            saved = evaluate_file(tmp_path / "packing.json")
+            assert saved["packing_diameters"][metric.value] == report.final_diameter
 
 
 def _ill_conditioned_gram():
