@@ -1,12 +1,17 @@
 """Alternating projection between the structural and spectral constraint sets.
 
 One solve alternates nearest-point maps until the iterate's off-diagonal
-block magnitudes fall within the target cap (plus a small slack) or the
-iteration budget runs out, then renormalizes diagonal blocks and factors the
-result into a configuration, whose Gram matrix it reports with the largest
-block magnitude and packing diameter measured on it.  The distance between
-successive iterate pairs never increases; the per-iteration gap history is
-kept as the primary convergence diagnostic.
+block magnitudes fall within the target cap (plus a small slack), its gap
+stalls, or the iteration budget runs out, then renormalizes diagonal blocks
+and factors the result into a configuration, whose Gram matrix it reports
+with the largest block magnitude and packing diameter measured on it.  The
+distance between successive iterate pairs (the gap) never increases, and
+the iterates accumulate at fixed pairs, so a trial whose gap has fallen by
+no more than ``_STALL_RTOL`` = 1e-10 of itself over the last
+``_STALL_WINDOW`` = 500 iterations is parked and stops; its report's
+``stop_reason`` says "stalled", where a trial that meets the cap says
+"feasible" and one that runs out of iterations "budget".  The per-iteration
+gap history is kept as the primary convergence diagnostic.
 
 Independent trials of one shape run as a stack (``_alternate_stack``) of as
 many as fit ``_STACK_ELEMENTS`` = 2**16 array elements (seven at KN = 96,
@@ -20,12 +25,12 @@ and redone with the iterates): the first iteration decomposes each iterate
 in full, and later ones refine the carried basis by certified subspace
 iteration, at most 22 products with the iterate, falling back to the full
 decomposition for any trial whose certificate fails (see ``projections``).
-A trial that meets the cap leaves the stack.  The finish (normalize,
-factor, measure the frames' Gram matrix) runs once per stack, one batched
-call per step.  Each trial's report is bit-identical to solving it alone,
-and ``alternate`` is the one-trial call; so a stack in which any trial
-fails is solved again trial by trial, and only the trials that fail alone
-fail.
+A trial that meets the cap or stalls leaves the stack; the stall rule reads
+only that trial's gap history.  The finish (normalize, factor, measure the
+frames' Gram matrix) runs once per stack, one batched call per step.  Each
+trial's report is bit-identical to solving it alone, and ``alternate`` is
+the one-trial call; so a stack in which any trial fails is solved again
+trial by trial, and only the trials that fail alone fail.
 Validation runs at the boundary: starts are ``GramMatrix`` entries, and each
 final matrix becomes a ``GramMatrix`` again.  Inside the loop the iterates
 stay exactly Hermitian by construction (see ``projections``) and are not
@@ -91,15 +96,26 @@ class SolveParams:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Diagnostics from one alternating-projection run."""
+    """Diagnostics from one alternating-projection run.
+
+    ``stop_reason`` is "feasible" when the iterate met mu (plus the stop
+    slack), "stalled" when its gap stopped falling first, and "budget" when
+    it ran all ``max_iterations``; only a "budget" trial has
+    ``iterations_used == max_iterations``.
+    """
 
     iterations_used: int
     gap_history: list = dataclass_field(repr=False)
-    stopped_early: bool  # iterations_used < max_iterations: mu was met within budget
+    stop_reason: str  # "feasible", "stalled" or "budget"
     final_gram: GramMatrix  # of final_config; final_diameter and mu_achieved measure it
     final_config: Configuration
     final_diameter: float  # packing diameter, or for sphere points the smallest angle
     mu_achieved: float  # largest off-diagonal block magnitude
+
+    @property
+    def stopped_early(self) -> bool:
+        """Whether the iterate met mu within the budget."""
+        return self.stop_reason == "feasible"
 
 
 def normalize_diagonal(G: GramMatrix) -> GramMatrix:
@@ -135,6 +151,12 @@ TRIAL_FAILURES = (NumericalFailure, SingularBlock, NotPSD, RankExceeded, RankDef
 # Working-set budget of one trial stack, in array elements.
 _STACK_ELEMENTS = 2**16
 
+# A live trial stalls, and leaves its stack, once its gap has fallen by no
+# more than _STALL_RTOL of its latest value over the last _STALL_WINDOW
+# iterations; so no trial stalls before iteration _STALL_WINDOW + 1.
+_STALL_WINDOW = 500
+_STALL_RTOL = 1e-10
+
 
 def _stack_trials(metric: Metric, K: int, N: int) -> int:
     """How many trials of this shape to solve in one stack.
@@ -153,23 +175,32 @@ def _stack_trials(metric: Metric, K: int, N: int) -> int:
 
 def _iterate(G0s: np.ndarray, params: SolveParams) -> tuple:
     """The loop over a (T, KN, KN) stack of starts, with no fallback: the
-    final iterates, iterations used and gap histories of its trials."""
+    final iterates, iterations used, gap histories and stop reasons of its
+    trials."""
     struct = StructuralSetSpec(metric=params.metric, mu=params.mu, K=params.K, N=params.N)
     spectral = SpectralSetSpec(d=params.d, trace_target=float(params.K * params.N))
     limit = params.mu + params.stop_slack
     T = len(G0s)
     finals: list = [None] * T
     iterations = [params.max_iterations] * T
+    reasons = ["budget"] * T
     gaps: list = [[] for _ in range(T)]
     live = np.arange(T)
     G = np.asarray(G0s)
     V = None  # top eigenbases of the live iterates, when the spectral step keeps them
     for it in range(params.max_iterations):
         parts = _split_blocks(G, params.metric, params.K, params.N)
-        done = parts[1].reshape(len(G), -1).max(1) <= limit
+        feasible = parts[1].reshape(len(G), -1).max(1) <= limit
+        done = feasible
+        if it > _STALL_WINDOW:  # each trial reads only its own gap history
+            done = feasible | [
+                h[-_STALL_WINDOW - 1] - h[-1] <= _STALL_RTOL * h[-1]
+                for h in map(gaps.__getitem__, live.tolist())
+            ]
         if done.any():
-            for t, final in zip(live[done].tolist(), G[done]):
+            for t, final, met in zip(live[done].tolist(), G[done], feasible[done].tolist()):
                 finals[t], iterations[t] = final, it
+                reasons[t] = "feasible" if met else "stalled"
             keep = ~done
             live, G = live[keep], G[keep]
             parts = tuple(None if x is None else x[keep] for x in parts)
@@ -185,10 +216,11 @@ def _iterate(G0s: np.ndarray, params: SolveParams) -> tuple:
             gaps[t].append(gap)
     for a, t in enumerate(live):
         finals[t] = G[a]
-    return np.stack(finals), iterations, gaps
+    return np.stack(finals), iterations, gaps, reasons
 
 
-def _finish(Gs: np.ndarray, iterations: list, gaps: list, params: SolveParams) -> list:
+def _finish(Gs: np.ndarray, iterations: list, gaps: list, reasons: list,
+            params: SolveParams) -> list:
     """Normalize and factor a (T, KN, KN) stack of final iterates, then measure
     the frames' Gram matrices with the stop check's ``_split_blocks``, one
     batched call per step, checks kept per trial: their ``SolveReport``s."""
@@ -201,8 +233,7 @@ def _finish(Gs: np.ndarray, iterations: list, gaps: list, params: SolveParams) -
     field = Field.COMPLEX if np.iscomplexobj(Gs) else Field.REAL
     return [
         SolveReport(
-            iterations_used=iterations[t], gap_history=gaps[t],
-            stopped_early=iterations[t] < params.max_iterations,
+            iterations_used=iterations[t], gap_history=gaps[t], stop_reason=reasons[t],
             final_gram=GramMatrix(field=field, K=K, N=N, entries=out[t]),
             final_config=Configuration(field=field, blocks=frames[t]),
             final_diameter=diameters[t], mu_achieved=mu[t],
@@ -240,10 +271,12 @@ def alternate(G0: GramMatrix, params: SolveParams) -> SolveReport:
 
     Feasibility is checked on the current iterate before each structural
     projection, so a feasible starting matrix returns immediately with zero
-    iterations.  The returned Gram matrix is that of the returned
-    configuration, positive semidefinite with rank at most d and identity
-    diagonal blocks; ``mu_achieved`` and ``final_diameter`` are measured on
-    it, and whether they meet mu is reported, not asserted.
+    iterations; from iteration 501 on, a stalled gap history (see the module
+    docstring) also ends the solve, with that iterate.  The returned Gram
+    matrix is that of the returned configuration, positive semidefinite with
+    rank at most d and identity diagonal blocks; ``mu_achieved`` and
+    ``final_diameter`` are measured on it, and whether they meet mu is
+    reported, not asserted.
     """
     if (G0.K, G0.N) != (params.K, params.N):
         raise InvalidInput(

@@ -17,9 +17,11 @@ from grasspack.geometry import (
     packing_diameter,
     write_configuration,
 )
-from grasspack.harness import evaluate_file
+from grasspack.harness import _derive_trial_seed, evaluate_file
 from grasspack.solver import (
     _STACK_ELEMENTS,
+    _STALL_RTOL,
+    _STALL_WINDOW,
     TRIAL_FAILURES,
     SolveParams,
     SolveReport,
@@ -179,6 +181,7 @@ def test_solve_report_is_frozen():
 def assert_same_report(a, b):
     """Bit-for-bit equality of two solve reports."""
     assert a.iterations_used == b.iterations_used
+    assert a.stop_reason == b.stop_reason
     assert a.gap_history == b.gap_history
     assert np.array_equal(a.final_gram.entries, b.final_gram.entries)
     assert np.array_equal(a.final_config.blocks, b.final_config.blocks)
@@ -199,6 +202,11 @@ STACK_CASES = {
     # R^5, N = 19): three trials stop at 221-237 iterations, three at the cap.
     "real_chordal_lines_d5n19": (
         Metric.CHORDAL, Field.REAL, 5, 1, 19, math.cos(math.radians(52.0)), 300,
+    ),
+    # A cap past the stall window: one trial stalls (at 1,221), two meet mu
+    # and three run to the cap.
+    "real_chordal_lines_stall": (
+        Metric.CHORDAL, Field.REAL, 3, 1, 8, math.cos(math.radians(49.64)), 2000,
     ),
     "complex_chordal_kn48": (
         Metric.CHORDAL, Field.COMPLEX, 8, 2, 24, _below_bound_mu(24, 0.7), 150,
@@ -236,8 +244,63 @@ def test_stacked_trials_match_solo_solves(case):
     stacked = _alternate_stack(np.stack([g.entries for g in starts]), params)
     # Trials leave the stack at different iterations.
     assert len({r.iterations_used for r in stacked}) > 1
+    if case == "real_chordal_lines_stall":
+        assert {r.stop_reason for r in stacked} == {"feasible", "stalled", "budget"}
     for G0, report in zip(starts, stacked):
-        assert report.stopped_early == (report.iterations_used < cap)
+        # A feasible or stalled trial leaves before the cap; only the budget ends at it.
+        assert report.stop_reason in ("feasible", "stalled", "budget")
+        assert (report.stop_reason == "budget") == (report.iterations_used == cap)
+        assert report.stopped_early == (report.stop_reason == "feasible")
+        assert_same_report(report, alternate(G0, params))
+
+
+def _stalls_at(gaps, it):
+    """The stall rule at the top of iteration ``it``, on the gaps before it."""
+    return it > _STALL_WINDOW and (
+        gaps[it - _STALL_WINDOW - 1] - gaps[it - 1] <= _STALL_RTOL * gaps[it - 1]
+    )
+
+
+def test_stalled_trial_leaves_at_its_first_stall():
+    metric, field, d, K, N, mu, cap = STACK_CASES["real_chordal_lines_stall"]
+    g0 = gram(initial_configuration(d, K, N, field, InitParams(tau=0.9, seed=0)))
+    report = alternate(g0, SolveParams(metric=metric, mu=mu, d=d, K=K, N=N, max_iterations=cap))
+    assert report.stop_reason == "stalled"
+    assert not report.stopped_early
+    gaps, used = report.gap_history, report.iterations_used
+    assert len(gaps) == used
+    assert _stalls_at(gaps, used)
+    assert not any(_stalls_at(gaps, it) for it in range(used))
+    assert report.mu_achieved > mu
+
+
+@pytest.mark.parametrize("seed, trial", [(7, 2), (9, 1), (11, 5)])
+def test_saddle_plateau_is_not_a_stall(seed, trial):
+    # The d=3 N=5 line cell (reference 63.435 degrees) at these harness seeds
+    # has one trial whose gap sits at 0.1763407 for about 350 iterations
+    # before it falls to feasibility: a 300-iteration window would stop it.
+    mu = math.cos(math.radians(63.435))
+    init = InitParams(tau=0.9, seed=_derive_trial_seed(seed, trial))
+    g0 = gram(initial_configuration(3, 1, 5, Field.REAL, init))
+    report = alternate(g0, SolveParams(metric=Metric.CHORDAL, mu=mu, d=3, K=1, N=5))
+    gaps = report.gap_history
+    assert any(gaps[i - 300] - gaps[i] <= _STALL_RTOL * gaps[i] for i in range(300, len(gaps)))
+    assert report.stop_reason == "feasible"
+
+
+def test_at_bound_tail_is_not_a_stall():
+    # At the Rankin bound the gap falls like 1/k: slowly, but never stalled.
+    N, cap = 5, 1500
+    mu = mu_from_rho(math.sqrt(rankin_chordal(4, 2, N, Field.COMPLEX).bound_value),
+                     Metric.CHORDAL, 2)
+    params = SolveParams(metric=Metric.CHORDAL, mu=mu, d=4, K=2, N=N, max_iterations=cap)
+    starts = [
+        gram(initial_configuration(4, 2, N, Field.COMPLEX, InitParams(tau=math.sqrt(2), seed=seed)))
+        for seed in range(4)
+    ]
+    stacked = _alternate_stack(np.stack([g.entries for g in starts]), params)
+    for G0, report in zip(starts, stacked):
+        assert (report.stop_reason, report.iterations_used) == ("budget", cap)
         assert_same_report(report, alternate(G0, params))
 
 
