@@ -212,18 +212,18 @@ def block_cosines(G: GramMatrix) -> np.ndarray:
 
 
 def _block_norm_grid(A: np.ndarray, K: int, N: int) -> np.ndarray:
-    """Frobenius norms of the K-by-K blocks of an exactly Hermitian matrix or
-    C-contiguous (..., KN, KN) stack, as an (..., N, N) grid.
+    """Frobenius norms of the K-by-K blocks of a Hermitian (to rounding)
+    C-contiguous matrix or (..., KN, KN) stack, as an (..., N, N) grid.
 
     The upper triangle holds the norms of the pairs m < n and the lower
     triangle mirrors it; the diagonal is zero.  At K = 1 the grid is |A|,
-    already symmetric.  Otherwise the squared entries, complex ones read
-    through their real view, are added up by strided slices: elementwise
-    adds in one fixed order, so a matrix gets the same grid alone and in a
-    stack.
+    whose lower triangle matches the upper one as far as A is Hermitian.
+    Otherwise the squared entries, complex ones read through their real
+    view, are added up by strided slices: elementwise adds in one fixed
+    order, so a matrix gets the same grid alone and in a stack.
     """
     if K == 1:
-        grid = np.abs(A)  # |conj(z)| = |z|, so already symmetric
+        grid = np.abs(A)  # |conj(z)| = |z|, so as symmetric as A is Hermitian
         _set_diagonal_blocks(grid, 1, N, 0.0)
         return grid
     F = A.view(np.float64) if np.iscomplexobj(A) else A
@@ -243,13 +243,15 @@ def _block_norm_grid(A: np.ndarray, K: int, N: int) -> np.ndarray:
 
 
 def _split_blocks(A: np.ndarray, metric: Metric, K: int, N: int) -> tuple:
-    """Block magnitudes of an exactly Hermitian, C-contiguous matrix or
+    """Block magnitudes of a Hermitian (to rounding), C-contiguous matrix or
     (..., KN, KN) stack, with the upper off-diagonal blocks and their SVD
-    where the metric needs them.
+    where the metric needs them; only the K = 1 chordal grid reads the lower
+    blocks too.
 
     Returns ``(blocks, mags, U, s, Vh, sums)``.  For the chordal metric only
     ``mags`` is set: the (..., N, N) grid of block Frobenius norms from
-    :func:`_block_norm_grid`, symmetric with a zero diagonal.  Otherwise
+    :func:`_block_norm_grid`, symmetric (at K = 1 to rounding) with a zero
+    diagonal.  Otherwise
     ``blocks`` has shape (..., P, K, K) for the P pairs m < n and ``mags``
     (..., P); ``U, s, Vh`` is their SVD (None for the sphere metric; for
     K = 2, ``s`` and ``sums`` of :func:`_plane_svd`).  Magnitudes are Frobenius

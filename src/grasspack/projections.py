@@ -12,27 +12,32 @@ The public projections take and return ``GramMatrix`` objects, which own
 the Hermitian invariant: their entries are checked and symmetrized once, on
 construction.  The kernels (``geometry._split_blocks``, ``_cap_blocks``,
 ``_spectral_stack``) work on plain arrays of shape (KN, KN) or (T, KN, KN)
-and check nothing; each returns an exactly Hermitian matrix given one.
-A chordal cap multiplies the matrix by a symmetric grid of block scales, so
-an exactly Hermitian input stays exactly Hermitian; the other metrics mirror
-every capped upper block, and K = 2 blocks are measured and capped in closed
-form, with no LAPACK call.  ``_spectral_stack`` symmetrizes V diag(w) V*,
-which is Hermitian only up to roundoff.  A stack is projected matrix by
-matrix, every matrix bit-identically to how it would be projected alone,
-which lets the solver run T trials as one stack.
+and check nothing.  Inside the solver's loop the iterates are Hermitian
+only to rounding, which is all the kernels need: the K >= 2 block-norm grid
+and every non-chordal cap read only the upper blocks, the K = 1 grid and
+the chordal cap act entrywise, and eigh reads one triangle.  A non-chordal
+cap mirrors each capped upper block, and K = 2 blocks are measured and
+capped in closed form, with no LAPACK call.  ``_spectral_stack`` returns
+V diag(w) V* as computed, not symmetrized; ``GramMatrix`` and the solver's
+finish symmetrize everything that leaves the loop.  A stack is projected
+matrix by matrix, every matrix bit-identically to how it would be
+projected alone, which lets the solver run T trials as one stack.
 
-For KN >= ``_WARM_MIN_KN`` the solver hands ``_spectral_stack`` the previous
-iterate's top-d eigenbasis, a warm basis that is refined by subspace
-iteration with Rayleigh-Ritz (Saad, "Numerical Methods for Large Eigenvalue
-Problems") instead of decomposing the full matrix.  A warm result is
-accepted only under a certificate: its residual must be below 1e-12 times
-a lower bound on the gap between the d-th and (d+1)-th eigenvalues, which
-by Davis-Kahan keeps the subspace within 1e-12 of the exact one.  Each
-round makes three products with the iterate and one Rayleigh-Ritz solve.
-When the certificate is not met within ``_WARM_STEPS`` rounds (21 products
-after the first) the full decomposition (``hermitian_eig``) takes over, so
-only its cold starts and fallbacks reach it.  ``project_spectral`` always
-decomposes in full.
+For KN >= ``_WARM_MIN_KN`` every spectral step of the solver's loop is a
+warm solve, by subspace iteration with Rayleigh-Ritz (Saad, "Numerical
+Methods for Large Eigenvalue Problems") instead of a decomposition of the
+full matrix: the first step starts from the iterate's own leading d
+columns and every later one from the previous iterate's top-d eigenbasis.
+A warm result is accepted only under a certificate: its residual must be
+below 1e-12 times a lower bound on the gap between the d-th and (d+1)-th
+eigenvalues, which by Davis-Kahan keeps the subspace within 1e-12 of the
+exact one.  Each round makes six products with the iterate and one
+Rayleigh-Ritz solve, and a warm start from the previous basis is typically
+certified in its first round.  When the certificate is not met within
+``_WARM_STEPS`` rounds (24 products after the first) the full
+decomposition (``hermitian_eig``) takes over, so only fallbacks reach it.
+``project_spectral``, and ``_spectral_stack`` called with no basis, always
+decompose in full.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .geometry import (
     as_blocks,
     upper_block_indices,
 )
-from .linalg import _frobenius_sq, hermitian_eig, symmetrize
+from .linalg import _frobenius_sq, hermitian_eig
 
 __all__ = [
     "StructuralSetSpec",
@@ -273,16 +278,17 @@ def solve_fs_block(c: np.ndarray, mu: float) -> np.ndarray:
 def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndarray:
     """Structural projection of A from its :func:`geometry._split_blocks` parts.
 
-    Returns a new Hermitian matrix with identity diagonal blocks and the
-    off-diagonal blocks capped at mu; blocks within the cap pass through
-    bit-exactly.  A chordal cap only rescales blocks: one elementwise product
-    of A with the symmetric grid of block scales, exactly Hermitian as A is.
-    The other metrics cap each upper block U diag(s) V* at U diag(y) V* and
-    mirror it; for K = 2 as p B + q C (C as in ``geometry._plane_svd``), the
-    mean of y over s times B + C plus their divided half-difference times
-    B - C.  Its error is eps times that slope, as LAPACK's is, so blocks
-    steeper than _PLANE_SLOPE take the SVD: Fubini-Study ones within ~1e-2
-    of a tie (at a tie the cap is not unique), never spectral ones (slope 1).
+    Returns a new matrix with identity diagonal blocks and the off-diagonal
+    blocks capped at mu; blocks within the cap pass through bit-exactly.  A
+    chordal cap only rescales blocks: one elementwise product of A with the
+    grid of block scales, so it is Hermitian to rounding as A is.  The other
+    metrics cap each upper block U diag(s) V* at U diag(y) V* and mirror it,
+    so their result is exactly Hermitian whatever A's lower blocks hold; for
+    K = 2 as p B + q C (C as in ``geometry._plane_svd``), the mean of y over
+    s times B + C plus their divided half-difference times B - C.  Its error
+    is eps times that slope, as LAPACK's is, so blocks steeper than
+    _PLANE_SLOPE take the SVD: Fubini-Study ones within ~1e-2 of a tie (at a
+    tie the cap is not unique), never spectral ones (slope 1).
     """
     blocks, mags, U, s, Vh, sums = parts
     mu = spec.mu
@@ -366,26 +372,30 @@ def _water_fill(lam: np.ndarray, target: float) -> np.ndarray:
 
 
 # The spectral projection of an n-by-n iterate with n >= _WARM_MIN_KN refines
-# the previous iterate's top eigenbasis instead of decomposing the full
-# matrix; below it a full eigh costs less than a few subspace steps (warm took
-# 0.72-0.90 of the full time at KN = 48, 1.1-2.3 times it at KN 19-32).  A warm
-# solve makes at most 1 + 3 * _WARM_STEPS products with H before it falls back.
+# a warm top eigenbasis instead of decomposing the full matrix.  Lone trials
+# at the chordal bound (2-core VM, 300 iterations) took 0.67-0.70 of the full
+# time warm at KN = 48 with d=8 K=2 and 0.85-0.87 with d=16 K=4, but 1.04-1.26
+# at KN 24-32; at KN = 40 d=8 K=2 ran faster warm (0.68-0.73) while d=16 K=4,
+# d=20 K=4 and lines in R^8 ran slower (1.00-1.23).  A warm solve makes at
+# most 1 + 6 * _WARM_STEPS products with H before it falls back.
 _WARM_MIN_KN = 48
-_WARM_STEPS = 7
+_WARM_STEPS = 4
 _WARM_TOL = 1e-12
 
 
-def _warm_top(H: np.ndarray, V: np.ndarray):
-    """Top eigenpairs of a (T, n, n) Hermitian stack refined from the
-    orthonormal (T, n, r) bases ``V``, as (Ritz values, Ritz vectors).
+def _warm_top(H: np.ndarray, r: int, V: np.ndarray | None = None):
+    """Top r eigenpairs of a (T, n, n) Hermitian stack refined from the
+    orthonormal (T, n, r) bases ``V``, or with no ``V`` from each matrix's
+    own leading r columns, orthonormalized; as (Ritz values, Ritz vectors).
 
     Each trial runs unshifted subspace iteration with Rayleigh-Ritz, in
-    rounds of three products with H: Q = qr(H (H (H X))), the r-by-r
+    rounds of six products with H: Q = qr(H^5 (H X)), the r-by-r
     eigendecomposition Q* (H Q) = W diag(theta) W*, and X = Q W, whose H X
     = (H Q) W costs no further product.  Rounds cost more than products at
-    the sizes warm solves run, so each takes three: at KN = 192 the residual
-    falls ~50-fold per product and is certified at degree 6, in the second
-    three-product round (the third two-product one).
+    the sizes warm solves run, so each takes six: the residual falls ~50-fold
+    per product at KN = 192 and is certified at degree 6, so a warm start
+    from the previous iterate's basis is typically certified in its first
+    round.
     A round's result is accepted once ||H X - X diag(theta)||_F <= _WARM_TOL *
     delta with delta = theta_r - sqrt(max(||H||_F^2 - sum(theta^2), 0)) > 0:
     the square root bounds lambda_{r+1}(H) from above (Weyl, as it is
@@ -396,21 +406,24 @@ def _warm_top(H: np.ndarray, V: np.ndarray):
     ``LinAlgError``, takes the full path, :func:`_full_top`.  Each trial's
     result does not depend on the rest of the stack.
     """
-    r = V.shape[-1]
     lam = np.empty((len(H), r))
-    basis = np.empty_like(V)
+    basis = np.empty(H.shape[:-1] + (r,), dtype=H.dtype)
     todo = np.arange(len(H))
-    Hs, HX = H, H @ V
+    Hs = H
     sq_norm = _frobenius_sq(H)
     try:
+        HX = H @ (np.linalg.qr(H[..., :r])[0] if V is None else V)
         for _ in range(_WARM_STEPS):
-            Q = np.linalg.qr(Hs @ (Hs @ HX))[0]
+            Y = HX
+            for _ in range(5):
+                Y = Hs @ Y
+            Q = np.linalg.qr(Y)[0]
             HQ = Hs @ Q
             # eigh reads only the lower triangle of Q* H Q, Hermitian up to roundoff.
             theta, W = np.linalg.eigh(np.swapaxes(Q, -1, -2).conj() @ HQ)
             theta, W = theta[..., ::-1], W[..., ::-1]
             X, HX = Q @ W, HQ @ W
-            residual = np.linalg.norm(HX - X * theta[..., None, :], axis=(-2, -1))
+            residual = np.sqrt(_frobenius_sq(HX - X * theta[..., None, :]))
             tail = np.sqrt(np.maximum(sq_norm[todo] - np.sum(theta**2, axis=-1), 0.0))
             delta = theta[..., -1] - tail
             ok = (delta > 0.0) & (residual <= _WARM_TOL * delta)
@@ -432,25 +445,29 @@ def _full_top(H: np.ndarray, r: int):
     return lam[..., :r], U[..., :r].copy()
 
 
-def _spectral_stack(H: np.ndarray, spec: SpectralSetSpec, V: np.ndarray | None = None):
+def _spectral_stack(H: np.ndarray, spec: SpectralSetSpec, V: np.ndarray | None = None,
+                    column_start: bool = False):
     """Spectral projection of a Hermitian matrix or (T, n, n) stack, as plain
     arrays: (projection, its top-d eigenbases).
 
     For n >= _WARM_MIN_KN the eigenbases come from :func:`_warm_top`, warm
     started from ``V`` (the bases this function returned for the previous
-    iterate), and are returned as contiguous (T, n, d) arrays, so a lone
-    trial and a pruned stack multiply the same memory layout; with no
-    ``V`` the stack is decomposed in full.  Below _WARM_MIN_KN the stack is
-    always decomposed in full and the returned bases are None.  Each matrix
-    is projected exactly as it would be alone.
+    iterate) or, with no ``V`` and ``column_start`` set, from each matrix's
+    own leading d columns; they are returned as contiguous (T, n, d) arrays,
+    so a lone trial and a pruned stack multiply the same memory layout.
+    With neither, and always below _WARM_MIN_KN, the stack is decomposed in
+    full; below it the returned bases are None.  The projection V diag(w) V*
+    is not symmetrized, so it is Hermitian only to rounding; each matrix is
+    projected exactly as it would be alone.
     """
+    r = min(spec.d, H.shape[-1])
     warm = H.shape[-1] >= _WARM_MIN_KN
-    if warm and V is not None:
-        lam, V = _warm_top(H, V)
+    if warm and (V is not None or column_start):
+        lam, V = _warm_top(H, r, V)
     else:
-        lam, V = _full_top(H, min(spec.d, H.shape[-1]))
+        lam, V = _full_top(H, r)
     w = _water_fill(lam, spec.trace_target)
-    P = symmetrize((V * w[..., None, :]) @ V.swapaxes(-1, -2).conj())
+    P = (V * w[..., None, :]) @ V.swapaxes(-1, -2).conj()
     return P, np.ascontiguousarray(V) if warm else None
 
 

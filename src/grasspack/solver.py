@@ -21,9 +21,10 @@ projection (block norms for the chordal metric, closed-form singular values
 for K = 2, an SVD otherwise), and makes one spectral projection, whose top
 eigenvalues get the closed-form trace shift.  At KN >= ``_WARM_MIN_KN`` each
 trial also carries its iterate's top-d eigenbasis (a (T, KN, d) stack pruned
-and redone with the iterates): the first iteration decomposes each iterate
-in full, and later ones refine the carried basis by certified subspace
-iteration, at most 22 products with the iterate, falling back to the full
+and redone with the iterates), found by certified subspace iteration: the
+first iteration starts it from the iterate's own leading d columns, and
+later ones refine the carried basis, typically in one round of six products
+with the iterate and at most 25 products in all, falling back to the full
 decomposition for any trial whose certificate fails (see ``projections``).
 A trial that meets the cap or stalls leaves the stack; the stall rule reads
 only that trial's gap history.  The finish (normalize, factor, measure the
@@ -33,9 +34,9 @@ the one-trial call; so a stack in which any trial fails is solved again
 trial by trial, and only the trials that fail alone fail.
 Validation runs at the boundary: starts are ``GramMatrix`` entries, and each
 final matrix becomes a ``GramMatrix`` again.  Inside the loop the iterates
-stay exactly Hermitian by construction (see ``projections``) and are not
-re-checked; a trial fails when its gap is not finite, as it is exactly when
-its structural iterate is not.
+are Hermitian to rounding, not symmetrized, and not re-checked (see
+``projections``); the finish symmetrizes what it reports.  A trial fails when
+its gap is not finite, as it is exactly when its structural iterate is not.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def normalize_diagonal(G: GramMatrix) -> GramMatrix:
 
 
 def _normalize_stack(A: np.ndarray, K: int, N: int) -> np.ndarray:
-    """:func:`normalize_diagonal` of each member of an exactly Hermitian
-    (T, KN, KN) stack; raises for the first block that fails."""
+    """:func:`normalize_diagonal` of each member of a (T, KN, KN) stack,
+    Hermitian to rounding; raises for the first block that fails."""
     idx = np.arange(N)
     w, U = np.linalg.eigh(as_blocks(A, K, N)[:, idx, idx])
     if np.any(w[..., 0] < 1e-10):
@@ -211,7 +212,7 @@ def _iterate(G0s: np.ndarray, params: SolveParams) -> tuple:
         step_gaps = np.sqrt(_frobenius_sq(G - H)).tolist()
         if not all(map(math.isfinite, step_gaps)):
             raise NumericalFailure("structural projection gave a non-finite iterate")
-        G, V = _spectral_stack(H, spectral, V)
+        G, V = _spectral_stack(H, spectral, V, column_start=True)
         for t, gap in zip(live.tolist(), step_gaps):
             gaps[t].append(gap)
     for a, t in enumerate(live):

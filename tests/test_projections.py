@@ -838,32 +838,79 @@ def test_warm_spectral_falls_back_bit_identically(field, eig_calls, monkeypatch)
     assert all(np.array_equal(a, b) for a, b in zip(warm, full))
 
 
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Counts the QR factorizations, one per warm round."""
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda A, *a, **k: calls.append(1) or qr(A, *a, **k))
+    return calls
+
+
+def _counting_products(H):
+    """``H`` as an array that counts the products taken with it on the left,
+    and the list they are counted in; the products, and H read through
+    np.asarray, are plain arrays."""
+    products = []
+
+    class CountsProducts(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ other
+
+    return H.view(CountsProducts), products
+
+
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-def test_warm_spectral_budget_before_fallback(field, eig_calls, monkeypatch):
+def test_warm_spectral_budget_before_fallback(field, eig_calls, qr_calls):
     # The far start of test_warm_spectral_falls_back_bit_identically.
     rng = np.random.default_rng(32)
     n, d = 96, 6
     H, U, _ = _near_rank_d(n, d, field, rng, top=(3.0, 4.0), rest=(-1.0, 1.0))
     spec = SpectralSetSpec(d=d, trace_target=float(n))
-    qr_calls = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda A, *a, **k: qr_calls.append(1) or qr(A, *a, **k))
-    products = []
-
-    class CountsProducts(np.ndarray):
-        # Counts the products taken with H on the left; they, and H read
-        # through np.asarray, are plain arrays.
-        def __matmul__(self, other):
-            products.append(1)
-            return np.asarray(self) @ other
-
-    warm = _spectral_stack(H[None].view(CountsProducts), spec, U[None, :, d : 2 * d])
+    qr_calls.clear()
+    counted, products = _counting_products(H[None])
+    warm = _spectral_stack(counted, spec, U[None, :, d : 2 * d])
     assert eig_calls == [1]
     assert 1 <= len(qr_calls) <= projections._WARM_STEPS
-    # One product to start, then three per round.
-    assert len(products) == 1 + 3 * len(qr_calls) <= 1 + 3 * projections._WARM_STEPS
+    # One product to start, then six per round.
+    assert len(products) == 1 + 6 * len(qr_calls) <= 1 + 6 * projections._WARM_STEPS
     full = _spectral_stack(H[None], spec)
     assert all(np.array_equal(a, b) for a, b in zip(warm, full))
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_warm_spectral_certifies_in_one_round(field, eig_calls, qr_calls):
+    # A start within 1e-3 of the top subspace, as the previous iterate's basis
+    # is in a solve, is certified by its first six-product round.
+    rng = np.random.default_rng(34)
+    n, d = 96, 8
+    H, U, _ = _near_rank_d(n, d, field, rng)
+    V = _perturbed_basis(U[:, :d], rng, eps=1e-3)
+    qr_calls.clear()
+    counted, products = _counting_products(H[None])
+    (P,), _ = _spectral_stack(counted, SpectralSetSpec(d=d, trace_target=float(n)), V[None])
+    assert eig_calls == []
+    assert len(qr_calls) == 1
+    assert len(products) == 7
+    P_full = _spectral_stack(H[None], SpectralSetSpec(d=d, trace_target=float(n)))[0][0]
+    assert np.max(np.abs(P - P_full)) <= 1e-10
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_spectral_projection_is_hermitian_to_rounding(field):
+    # The loop's iterates are not symmetrized: on each path (full, warm from
+    # a basis, warm from the matrix's own columns) V diag(w) V* must be
+    # Hermitian to rounding, as the kernels that read it assume.
+    rng = np.random.default_rng(35)
+    for n, d in [(24, 4), (96, 8), (192, 8)]:
+        H, U, _ = _near_rank_d(n, d, field, rng)
+        spec = SpectralSetSpec(d=d, trace_target=float(n))
+        V = _perturbed_basis(U[:, :d], rng)[None]
+        for P in [_spectral_stack(H[None], spec)[0],
+                  _spectral_stack(H[None], spec, V)[0],
+                  _spectral_stack(H[None], spec, column_start=True)[0]]:
+            assert np.max(np.abs(P - P.conj().swapaxes(-1, -2))) <= 1e-14 * np.max(np.abs(P))
 
 
 def test_warm_spectral_output_contracts(eig_calls):
