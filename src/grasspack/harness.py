@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
@@ -277,14 +277,20 @@ def _run_trial(spec: ExperimentSpec, params: SolveParams, trial_index: int):
 
 
 def _run_chunk(spec: ExperimentSpec, params: SolveParams, indices) -> list:
-    """Reports (None where a trial failed) of trials solved as one stack."""
+    """Reports (None where a trial failed) of trials solved as one stack.
+
+    The drawn starts' entries are stacked and their ``GramMatrix`` objects
+    dropped before the solve, so the stack is the only copy of the starts.
+    """
     if len(indices) == 1:
         return [_run_trial(spec, params, indices[0])]
     starts = _starts(spec, params, indices)
     solved = {}
     if starts:
         G0s = np.stack([g.entries for g in starts.values()])
-        solved = dict(zip(starts, _alternate_stack(G0s, params)))
+        drawn = list(starts)
+        del starts
+        solved = dict(zip(drawn, _alternate_stack(G0s, params)))
     return [None if isinstance(r, Exception) else r for r in map(solved.get, indices)]
 
 
@@ -305,13 +311,16 @@ def _mu_values(spec: ExperimentSpec, K: int, mu_base: float) -> list:
     return [min(mu, cap) for mu in relaxed]
 
 
-def _solve_cell(spec: ExperimentSpec, sweep: list) -> list:
+def _solve_cell(spec: ExperimentSpec, sweep: list) -> Iterator:
     """Solve reports (None where a trial failed) over a cell's trials, for
     each ``SolveParams`` of its sweep in turn.
 
-    Each mu value's trials are solved in stacks of ``_stack_trials`` trials;
-    a pool of ``spec.workers`` workers maps over the same stacks, so the
-    reports do not depend on the worker count.
+    Each mu value's trials are solved in stacks of ``_stack_trials`` trials,
+    and a stack's reports are yielded as soon as it is solved, so with one
+    worker a caller that keeps none of them holds one stack's matrices at a
+    time, whatever the trial and sweep counts.  A pool of ``spec.workers``
+    workers maps over the same stacks, so the reports do not depend on the
+    worker count, but it may hold every stack's reports until they are read.
     """
     size = _stack_trials(spec.metric, sweep[0].K, sweep[0].N)
     chunks = [
@@ -320,11 +329,14 @@ def _solve_cell(spec: ExperimentSpec, sweep: list) -> list:
         for k in range(0, spec.trials, size)
     ]
     if spec.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs these
+        from itertools import chain
+
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            solved = list(pool.map(lambda c: _run_chunk(spec, *c), chunks))
+            yield from chain.from_iterable(pool.map(lambda c: _run_chunk(spec, *c), chunks))
     else:
-        solved = [_run_chunk(spec, params, indices) for params, indices in chunks]
-    return [report for chunk in solved for report in chunk]
+        for params, indices in chunks:
+            yield from _run_chunk(spec, params, indices)
 
 
 def _cells(space: str, d_values, K_values, N_values) -> list:
@@ -351,7 +363,11 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     Cells whose reference row is missing are reported as warning rows with
     NaN values and every solve (trials x sweep steps) counted failed.  A
     reference run fills ``error_vs_reference`` from the table that gave mu.
-    Aggregation is independent of trial completion order.
+    Aggregation is independent of trial completion order.  Each stack's
+    reports are folded into the cell's values, iteration counts and failure
+    count as soon as it is solved, and dropped before the next stack is
+    solved, so with one worker a cell holds one stack's matrices at a time,
+    whatever its trial and sweep counts.
     """
     ref = ReferenceTable.load(spec.reference_path) if spec.mu_source == "reference_file" else None
     cells = _cells(spec.space, spec.d_values, spec.K_values, spec.N_values)
@@ -370,13 +386,17 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     ]
     rows = []
     for (d, K, N), mu_base, sweep in zip(cells, mus, sweeps):
+        values, iterations, failed = [], [], 0
         if sweep is None:  # no reference row: every solve of the cell fails
-            reports = [None] * spec.trials * (1 if spec.sweep is None else int(spec.sweep[2]))
+            failed = spec.trials * (1 if spec.sweep is None else int(spec.sweep[2]))
         else:
-            reports = _solve_cell(spec, sweep)
-        values = [_report_value(spec.metric, K, r) for r in reports if r is not None]
-        iterations = [r.iterations_used for r in reports if r is not None]
-        failed = sum(1 for r in reports if r is None)
+            for report in _solve_cell(spec, sweep):
+                if report is None:
+                    failed += 1
+                else:
+                    values.append(_report_value(spec.metric, K, report))
+                    iterations.append(report.iterations_used)
+                del report  # else a stack's last report outlives the next stack's solve
         rows.append(
             ResultRow(
                 d=d, K=K, N=N,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -580,7 +581,7 @@ def test_sweep_cell_reports_match_solo_solves():
         for f in np.linspace(1.0, 1.3, 3)
     ]
     assert [params.mu for params in sweep] == harness._mu_values(spec, 2, mu_base)
-    reports = harness._solve_cell(spec, sweep)
+    reports = list(harness._solve_cell(spec, sweep))
     solo = [
         harness._run_trial(spec, params, s * spec.trials + k)
         for s, params in enumerate(sweep)
@@ -589,6 +590,32 @@ def test_sweep_cell_reports_match_solo_solves():
     assert len({r.iterations_used for r in reports}) > 1
     for got, want in zip(reports, solo, strict=True):
         assert_same_report(got, want)
+
+
+def _traced_peak(spec) -> int:
+    """Peak bytes tracemalloc sees, numpy's buffers included, over one run."""
+    tracemalloc.start()
+    try:
+        run_experiment(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cell_memory_does_not_grow_with_trials_or_sweep():
+    # KN = 96: seven trials to a stack.  Each stack's reports are folded into
+    # the row and dropped before the next stack is solved, so four stacks,
+    # of one mu or of four, peak as high as one.
+    spec = ExperimentSpec(
+        space="grassmann", field=Field.COMPLEX, metric=Metric.CHORDAL,
+        d_values=(8,), K_values=(2,), N_values=(48,), trials=7,
+        mu_source="rankin_bound", max_iterations=20,
+    )
+    assert solver._stack_trials(Metric.CHORDAL, 2, 48) == 7
+    run_experiment(spec)  # fill the caches first
+    one = _traced_peak(spec)
+    assert _traced_peak(replace(spec, trials=28)) <= 1.1 * one
+    assert _traced_peak(replace(spec, sweep=(1.0, 1.1, 4))) <= 1.1 * one
 
 
 FS_SPEC = ExperimentSpec(
@@ -635,7 +662,7 @@ def test_one_failing_trial_fails_alone(monkeypatch, site, error):
         return out
 
     monkeypatch.setattr(module, site, faulty)
-    reports = harness._solve_cell(FS_SPEC, [FS_PARAMS])
+    reports = list(harness._solve_cell(FS_SPEC, [FS_PARAMS]))
     assert reports[bad] is None
     for k in range(FS_SPEC.trials):
         if k != bad:
