@@ -201,14 +201,6 @@ def upper_block_indices(N: int):
     return np.triu_indices(N, 1)
 
 
-@lru_cache(maxsize=64)
-def _strict_upper_mask(N: int) -> np.ndarray:
-    """Read-only (N, N) float mask: 1 above the diagonal, 0 on and below it."""
-    mask = np.triu(np.ones((N, N)), 1)
-    mask.flags.writeable = False
-    return mask
-
-
 def block_cosines(G: GramMatrix) -> np.ndarray:
     """Singular values of the upper off-diagonal blocks of a Gram matrix.
 
@@ -244,10 +236,8 @@ def _block_norm_grid(A: np.ndarray, K: int, N: int) -> np.ndarray:
     for k in range(2, width):
         grid += rows[..., k::width]
     np.sqrt(grid, out=grid)
-    # A lower block's squares add up in another order than its mirror's.  The
-    # norms are >= 0, and finite unless A is not, so the mask zeroes the
-    # diagonal and the lower triangle as np.triu would.
-    grid *= _strict_upper_mask(N)
+    # A lower block's squares add up in another order than its mirror's.
+    grid = np.triu(grid, 1)
     grid += np.swapaxes(grid, -1, -2)
     return grid
 

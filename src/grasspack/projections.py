@@ -23,13 +23,11 @@ finish symmetrize everything that leaves the loop.  A stack is projected
 matrix by matrix, every matrix bit-identically to how it would be
 projected alone, which lets the solver run T trials as one stack.
 
-For KN >= ``_WARM_MIN_KN`` and d < KN / 2 every spectral step of the
-solver's loop is a warm solve, by subspace iteration with Rayleigh-Ritz
-(Saad, "Numerical Methods for Large Eigenvalue Problems") instead of a
-decomposition of the full matrix (with d >= KN / 2, as for d=24 K=4 N=12,
-the full decomposition is as fast or faster).  The first step starts from
-the iterate's own leading d columns and every later one from the previous
-iterate's top-d eigenbasis.
+For KN >= ``_WARM_MIN_KN`` every spectral step of the solver's loop is a
+warm solve, by subspace iteration with Rayleigh-Ritz (Saad, "Numerical
+Methods for Large Eigenvalue Problems") instead of a decomposition of the
+full matrix: the first step starts from the iterate's own leading d
+columns and every later one from the previous iterate's top-d eigenbasis.
 A warm result is accepted only under a certificate: its residual must be
 below 1e-12 times a lower bound on the gap between the d-th and (d+1)-th
 eigenvalues, which by Davis-Kahan keeps the subspace within 1e-12 of the
@@ -282,16 +280,15 @@ def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndar
 
     Returns a new matrix with identity diagonal blocks and the off-diagonal
     blocks capped at mu; blocks within the cap pass through bit-exactly.  A
-    chordal cap only rescales blocks: one elementwise product of each block
-    row of A with its row of block scales, each repeated K times, so it is
-    Hermitian to rounding as A is.  The other metrics cap each upper block
-    U diag(s) V* at U diag(y) V* and mirror it, so their result is exactly
-    Hermitian whatever A's lower blocks hold; for K = 2 as p B + q C (C as
-    in ``geometry._plane_svd``), the mean of y over s times B + C plus their
-    divided half-difference times B - C.  Its error is eps times that slope,
-    as LAPACK's is, so blocks steeper than _PLANE_SLOPE take the SVD:
-    Fubini-Study ones within ~1e-2 of a tie (at a tie the cap is not
-    unique), never spectral ones (slope 1).
+    chordal cap only rescales blocks: one elementwise product of A with the
+    grid of block scales, so it is Hermitian to rounding as A is.  The other
+    metrics cap each upper block U diag(s) V* at U diag(y) V* and mirror it,
+    so their result is exactly Hermitian whatever A's lower blocks hold; for
+    K = 2 as p B + q C (C as in ``geometry._plane_svd``), the mean of y over
+    s times B + C plus their divided half-difference times B - C.  Its error
+    is eps times that slope, as LAPACK's is, so blocks steeper than
+    _PLANE_SLOPE take the SVD: Fubini-Study ones within ~1e-2 of a tie (at a
+    tie the cap is not unique), never spectral ones (slope 1).
     """
     blocks, mags, U, s, Vh, sums = parts
     mu = spec.mu
@@ -300,9 +297,8 @@ def _cap_blocks(A: np.ndarray, spec: StructuralSetSpec, parts: tuple) -> np.ndar
     if spec.metric is Metric.CHORDAL:
         with np.errstate(divide="ignore", invalid="ignore"):  # unread where not over
             scale = np.where(over, mu / mags * (1.0 - _FEAS_SHRINK), 1.0)
-        if K > 1:  # entry (m K + i, n K + j) scales by block (m, n)'s scale
-            scale = np.repeat(scale, K, axis=-1)
-        H = (A.reshape(A.shape[:-2] + (N, K, K * N)) * scale[..., :, None, :]).reshape(A.shape)
+        expanded = scale[..., :, None, :, None]
+        H = (A.reshape(A.shape[:-2] + (N, K, N, K)) * expanded).reshape(A.shape)
         _set_diagonal_blocks(H, K, N, 1.0)
         return H
     if spec.metric is Metric.SPHERE:
@@ -375,17 +371,13 @@ def _water_fill(lam: np.ndarray, target: float) -> np.ndarray:
     return np.maximum(lam - gamma, 0.0)
 
 
-# The spectral projection of an n-by-n iterate with top rank r refines a warm
-# top eigenbasis instead of decomposing the full matrix when n >= _WARM_MIN_KN
-# and n > 2 r.  Lone trials at the chordal bound (2-core VM, 300 iterations)
-# took 0.67-0.70 of the full time warm at KN = 48 with d=8 K=2 and 0.85-0.87
-# with d=16 K=4, but 1.04-1.26 at KN 24-32; at KN = 40 d=8 K=2 ran faster
-# warm (0.68-0.73) while d=16 K=4, d=20 K=4 and lines in R^8 ran slower
-# (1.00-1.23).  At KN = 48 (complex, best of 5 interleaved, seeds 1 and 2,
-# two runs) d=8 K=2 took 0.61-0.65, d=16 K=4 0.81-0.87, d=20 K=4 0.90-0.96,
-# but d=24 K=4, where r = n / 2, 1.00-1.15; so it decomposes in full.  A
-# warm solve makes at most 1 + 6 * _WARM_STEPS products with H before it
-# falls back.
+# The spectral projection of an n-by-n iterate with n >= _WARM_MIN_KN refines
+# a warm top eigenbasis instead of decomposing the full matrix.  Lone trials
+# at the chordal bound (2-core VM, 300 iterations) took 0.67-0.70 of the full
+# time warm at KN = 48 with d=8 K=2 and 0.85-0.87 with d=16 K=4, but 1.04-1.26
+# at KN 24-32; at KN = 40 d=8 K=2 ran faster warm (0.68-0.73) while d=16 K=4,
+# d=20 K=4 and lines in R^8 ran slower (1.00-1.23).  A warm solve makes at
+# most 1 + 6 * _WARM_STEPS products with H before it falls back.
 _WARM_MIN_KN = 48
 _WARM_STEPS = 4
 _WARM_TOL = 1e-12
@@ -458,19 +450,18 @@ def _spectral_stack(H: np.ndarray, spec: SpectralSetSpec, V: np.ndarray | None =
     """Spectral projection of a Hermitian matrix or (T, n, n) stack, as plain
     arrays: (projection, its top-d eigenbases).
 
-    On the warm path, n >= _WARM_MIN_KN and n > 2 d, the eigenbases come
-    from :func:`_warm_top`, warm started from ``V`` (the bases this function
-    returned for the previous iterate) or, with no ``V`` and ``column_start``
-    set, from each matrix's own leading d columns; they are returned as
-    contiguous (T, n, d) arrays, so a lone trial and a pruned stack multiply
-    the same memory layout.  With neither, and always off the warm path, the
-    stack is decomposed in full; off it the returned bases are None.  The
-    projection V diag(w) V* is not symmetrized, so it is Hermitian only to
-    rounding; each matrix is projected exactly as it would be alone.
+    For n >= _WARM_MIN_KN the eigenbases come from :func:`_warm_top`, warm
+    started from ``V`` (the bases this function returned for the previous
+    iterate) or, with no ``V`` and ``column_start`` set, from each matrix's
+    own leading d columns; they are returned as contiguous (T, n, d) arrays,
+    so a lone trial and a pruned stack multiply the same memory layout.
+    With neither, and always below _WARM_MIN_KN, the stack is decomposed in
+    full; below it the returned bases are None.  The projection V diag(w) V*
+    is not symmetrized, so it is Hermitian only to rounding; each matrix is
+    projected exactly as it would be alone.
     """
-    n = H.shape[-1]
-    r = min(spec.d, n)
-    warm = n >= _WARM_MIN_KN and n > 2 * r
+    r = min(spec.d, H.shape[-1])
+    warm = H.shape[-1] >= _WARM_MIN_KN
     if warm and (V is not None or column_start):
         lam, V = _warm_top(H, r, V)
     else:

@@ -19,14 +19,13 @@ one at KN = 192): the iterates are one (T, KN, KN) array, and each iteration
 splits them into blocks once, for both the stop check and the structural
 projection (block norms for the chordal metric, closed-form singular values
 for K = 2, an SVD otherwise), and makes one spectral projection, whose top
-eigenvalues get the closed-form trace shift.  At KN >= ``_WARM_MIN_KN`` with
-d < KN / 2 each trial also carries its iterate's top-d eigenbasis (a
-(T, KN, d) stack pruned and redone with the iterates), found by certified
-subspace iteration: the first iteration starts it from the iterate's own
-leading d columns, and later ones refine the carried basis, typically in one
-round of six products with the iterate and at most 25 products in all,
-falling back to the full decomposition for any trial whose certificate
-fails (see ``projections``).
+eigenvalues get the closed-form trace shift.  At KN >= ``_WARM_MIN_KN`` each
+trial also carries its iterate's top-d eigenbasis (a (T, KN, d) stack pruned
+and redone with the iterates), found by certified subspace iteration: the
+first iteration starts it from the iterate's own leading d columns, and
+later ones refine the carried basis, typically in one round of six products
+with the iterate and at most 25 products in all, falling back to the full
+decomposition for any trial whose certificate fails (see ``projections``).
 A trial that meets the cap or stalls leaves the stack; the stall rule reads
 only that trial's gap history.  The finish (normalize, factor, measure the
 frames' Gram matrix) runs once per stack, one batched call per step.  Each

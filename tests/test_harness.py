@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -602,21 +603,44 @@ def _traced_peak(spec) -> int:
         tracemalloc.stop()
 
 
+# KN = 96: seven trials to a stack.
+STACKED_SPEC = ExperimentSpec(
+    space="grassmann", field=Field.COMPLEX, metric=Metric.CHORDAL,
+    d_values=(8,), K_values=(2,), N_values=(48,), trials=7,
+    mu_source="rankin_bound", max_iterations=20,
+)
+
+
 def test_cell_memory_does_not_grow_with_trials_or_sweep():
-    # KN = 96: seven trials to a stack.  Each stack's reports are folded into
-    # the row and dropped before the next stack is solved, so four stacks,
-    # of one mu or of four, peak as high as one.
-    spec = ExperimentSpec(
-        space="grassmann", field=Field.COMPLEX, metric=Metric.CHORDAL,
-        d_values=(8,), K_values=(2,), N_values=(48,), trials=7,
-        mu_source="rankin_bound", max_iterations=20,
-    )
+    # Each stack's reports are folded into the row and dropped before the
+    # next stack is solved, so four stacks, of one mu or of four, peak as
+    # high as one.
+    spec = STACKED_SPEC
     assert solver._stack_trials(Metric.CHORDAL, 2, 48) == 7
     run_experiment(spec)  # fill the caches first
     one = _traced_peak(spec)
     assert _traced_peak(replace(spec, trials=28)) <= 1.1 * one
     assert _traced_peak(replace(spec, sweep=(1.0, 1.1, 4))) <= 1.1 * one
 
+
+
+def test_no_report_outlives_its_stack(monkeypatch):
+    # When a stack is solved, no report of an earlier stack, of the same mu
+    # or of another, is still alive: not even as the fold's loop variable.
+    spec = replace(STACKED_SPEC, trials=14, sweep=(1.0, 1.1, 2))
+    solved, alive = [], []
+    solve = harness._alternate_stack
+
+    def tracking(G0s, params):
+        alive.append(sum(ref() is not None for ref in solved))
+        reports = solve(G0s, params)
+        solved.extend(weakref.ref(r) for r in reports if not isinstance(r, Exception))
+        return reports
+
+    monkeypatch.setattr(harness, "_alternate_stack", tracking)
+    run_experiment(spec)
+    assert len(solved) == 28
+    assert alive == [0, 0, 0, 0]
 
 FS_SPEC = ExperimentSpec(
     space="grassmann", field=Field.COMPLEX, metric=Metric.FUBINI_STUDY,

@@ -440,23 +440,6 @@ def test_line_solve_decomposes_once_per_iteration(monkeypatch):
     assert solo.stopped_early
 
 
-def test_half_rank_solve_decomposes_every_iteration(monkeypatch):
-    # At KN = 48, d = 24 keeps half the space, where the warm path runs no
-    # faster than the full decomposition; so every iteration decomposes.
-    d, K, N = 24, 4, 12
-    assert K * N >= projections._WARM_MIN_KN and K * N == 2 * d
-    bound = rankin_chordal(d, K, N, Field.COMPLEX).bound_value
-    mu = mu_from_rho(math.sqrt(bound), Metric.CHORDAL, K)
-    params = SolveParams(metric=Metric.CHORDAL, mu=mu, d=d, K=K, N=N, max_iterations=30)
-    g0 = gram(initial_configuration(d, K, N, Field.COMPLEX, InitParams(tau=2.0, seed=0)))
-    sizes = []
-    eig = projections.hermitian_eig
-    monkeypatch.setattr(projections, "hermitian_eig", lambda A: sizes.append(len(A)) or eig(A))
-    report = alternate(g0, params)
-    assert report.iterations_used > 0
-    assert sizes == [1] * report.iterations_used
-
-
 @pytest.mark.parametrize("N", [24, 96])
 def test_at_bound_solve_makes_no_full_decomposition(N, monkeypatch):
     # The first spectral step starts warm from the iterate's own columns and
