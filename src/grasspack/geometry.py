@@ -5,8 +5,9 @@ Its Gram matrix is the KN-by-KN block matrix of all pairwise frame products;
 the singular values of the (m, n) off-diagonal block are the cosines of the
 principal angles between subspaces m and n.  Every chordal, spectral and
 Fubini-Study distance is :func:`rho_from_mu` of one block magnitude, measured
-by :func:`_split_blocks` as the solver measures it; only the geodesic
-distance, which needs every angle, comes from :func:`block_cosines`.
+by :func:`_split_blocks` as the solver measures it; the geodesic distance,
+which needs every angle, and :func:`principal_angles` take the arccosines of
+the singular values it returns for the spectral metric.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "packing_diameter",
     "gram",
     "factor",
-    "block_cosines",
     "max_block_magnitude",
     "min_angle",
     "mu_from_rho",
@@ -201,16 +201,6 @@ def upper_block_indices(N: int):
     return np.triu_indices(N, 1)
 
 
-def block_cosines(G: GramMatrix) -> np.ndarray:
-    """Singular values of the upper off-diagonal blocks of a Gram matrix.
-
-    Row p holds the K principal-angle cosines, nonincreasing, of the p-th
-    pair m < n.  They are not clamped: roundoff may leave them just above 1.
-    """
-    iu, ju = upper_block_indices(G.N)
-    return np.linalg.svd(as_blocks(G.entries, G.K, G.N)[iu, ju], compute_uv=False)
-
-
 def _block_norm_grid(A: np.ndarray, K: int, N: int) -> np.ndarray:
     """Frobenius norms of the K-by-K blocks of a Hermitian (to rounding)
     C-contiguous matrix or (..., KN, KN) stack, as an (..., N, N) grid.
@@ -299,14 +289,27 @@ def _plane_svd(B: np.ndarray) -> tuple:
     return np.stack([s1, s2], axis=-1), absdet, sums
 
 
+def _frame_pair(S: np.ndarray, T: np.ndarray) -> Configuration:
+    """The two-subspace configuration of orthonormal frames S and T."""
+    if np.shape(S) != np.shape(T):
+        raise InvalidInput(f"frame shapes differ: {np.shape(S)} vs {np.shape(T)}")
+    field = Field.COMPLEX if np.iscomplexobj(S) or np.iscomplexobj(T) else Field.REAL
+    return Configuration(field=field, blocks=np.stack([S, T]))
+
+
+def _pair_angles(config: Configuration) -> np.ndarray:
+    """Principal angles of each pair m < n, one nondecreasing row per pair."""
+    s = _split_blocks(gram(config).entries, Metric.SPECTRAL, config.K, config.N)[3]
+    return np.arccos(np.clip(s, 0.0, 1.0))
+
+
 def principal_angles(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Principal angles between two subspaces given orthonormal frames.
+    """Principal angles between the subspaces spanned by orthonormal frames
+    S and T, checked as a :class:`Configuration` checks its blocks.
 
     Returns K angles in [0, pi/2], nondecreasing.
     """
-    if np.shape(S) != np.shape(T) or np.ndim(S) != 2:
-        raise InvalidInput(f"frame shapes differ: {np.shape(S)} vs {np.shape(T)}")
-    return np.arccos(np.clip(np.linalg.svd(np.conj(S).T @ T, compute_uv=False), 0.0, 1.0))
+    return _pair_angles(_frame_pair(S, T))[0]
 
 
 def dist(S: np.ndarray, T: np.ndarray, metric: Metric) -> float:
@@ -316,10 +319,7 @@ def dist(S: np.ndarray, T: np.ndarray, metric: Metric) -> float:
     Supports the chordal, spectral, Fubini-Study, and geodesic metrics.
     The sphere metric acts on points, not subspaces, and is rejected here.
     """
-    if np.shape(S) != np.shape(T):
-        raise InvalidInput(f"frame shapes differ: {np.shape(S)} vs {np.shape(T)}")
-    field = Field.COMPLEX if np.iscomplexobj(S) or np.iscomplexobj(T) else Field.REAL
-    return packing_diameter(Configuration(field=field, blocks=np.stack([S, T])), metric)
+    return packing_diameter(_frame_pair(S, T), metric)
 
 
 def packing_diameter(config: Configuration, metric: Metric) -> float:
@@ -327,11 +327,9 @@ def packing_diameter(config: Configuration, metric: Metric) -> float:
     magnitude, or (geodesic) the least 2-norm of a pair's principal angles."""
     if metric is Metric.SPHERE:
         raise InvalidInput("no subspace distance for sphere; sphere points use inner products")
-    g = gram(config)
     if metric is Metric.GEODESIC:
-        angles = np.arccos(np.clip(block_cosines(g), 0.0, 1.0))
-        return float(np.min(np.linalg.norm(angles, axis=-1)))
-    return rho_from_mu(max_block_magnitude(g, metric), metric, config.K)
+        return float(np.min(np.linalg.norm(_pair_angles(config), axis=-1)))
+    return rho_from_mu(max_block_magnitude(gram(config), metric), metric, config.K)
 
 
 def _gram_entries(blocks: np.ndarray) -> np.ndarray:

@@ -31,11 +31,10 @@ columns and every later one from the previous iterate's top-d eigenbasis.
 A warm result is accepted only under a certificate: its residual must be
 below 1e-12 times a lower bound on the gap between the d-th and (d+1)-th
 eigenvalues, which by Davis-Kahan keeps the subspace within 1e-12 of the
-exact one.  Each round makes six products with the iterate and one
-Rayleigh-Ritz solve, and a warm start from the previous basis is typically
-certified in its first round.  When the certificate is not met within
-``_WARM_STEPS`` rounds (24 products after the first) the full
-decomposition (``hermitian_eig``) takes over, so only fallbacks reach it.
+exact one.  When the certificate is not met within ``_WARM_STEPS`` rounds
+the full decomposition (``hermitian_eig``) takes over, so only fallbacks
+reach it; ``_warm_top`` and the ``_WARM_MIN_KN`` comment give the products
+per round and per solve.
 ``project_spectral``, and ``_spectral_stack`` called with no basis, always
 decompose in full.
 """

@@ -3,8 +3,8 @@
 One solve alternates nearest-point maps until the iterate's off-diagonal
 block magnitudes fall within the target cap (plus a small slack), its gap
 stalls, or the iteration budget runs out, then renormalizes diagonal blocks
-and factors the result into a configuration, whose Gram matrix it reports
-with the largest block magnitude and packing diameter measured on it.  The
+and factors the result into a configuration, which it reports with the
+largest block magnitude and packing diameter measured on its Gram matrix.  The
 distance between successive iterate pairs (the gap) never increases, and
 the iterates accumulate at fixed pairs, so a trial whose gap has fallen by
 no more than ``_STALL_RTOL`` = 1e-10 of itself over the last
@@ -23,9 +23,9 @@ eigenvalues get the closed-form trace shift.  At KN >= ``_WARM_MIN_KN`` each
 trial also carries its iterate's top-d eigenbasis (a (T, KN, d) stack pruned
 and redone with the iterates), found by certified subspace iteration: the
 first iteration starts it from the iterate's own leading d columns, and
-later ones refine the carried basis, typically in one round of six products
-with the iterate and at most 25 products in all, falling back to the full
-decomposition for any trial whose certificate fails (see ``projections``).
+later ones refine the carried basis, falling back to the full decomposition
+for any trial whose certificate fails (``projections._warm_top`` states the
+rounds and products this takes).
 A trial that meets the cap or stalls leaves the stack; the stall rule reads
 only that trial's gap history.  The finish (normalize, factor, measure the
 frames' Gram matrix) runs once per stack, one batched call per step.  Each
@@ -33,10 +33,11 @@ trial's report is bit-identical to solving it alone, and ``alternate`` is
 the one-trial call; so a stack in which any trial fails is solved again
 trial by trial, and only the trials that fail alone fail.
 Validation runs at the boundary: starts are ``GramMatrix`` entries, and each
-final matrix becomes a ``GramMatrix`` again.  Inside the loop the iterates
-are Hermitian to rounding, not symmetrized, and not re-checked (see
-``projections``); the finish symmetrizes what it reports.  A trial fails when
-its gap is not finite, as it is exactly when its structural iterate is not.
+final packing is a ``Configuration``.  Inside the loop the iterates are
+Hermitian to rounding, not symmetrized, and not re-checked (see
+``projections``); the finish symmetrizes the Gram matrices it measures.  A
+trial fails when its gap is not finite, as it is exactly when its
+structural iterate is not.
 """
 
 from __future__ import annotations
@@ -99,16 +100,17 @@ class SolveParams:
 class SolveReport:
     """Diagnostics from one alternating-projection run.
 
-    ``stop_reason`` is "feasible" when the iterate met mu (plus the stop
-    slack), "stalled" when its gap stopped falling first, and "budget" when
-    it ran all ``max_iterations``; only a "budget" trial has
-    ``iterations_used == max_iterations``.
+    ``stop_reason`` is "feasible" when the loop's iterate met mu +
+    ``stop_slack``, "stalled" when its gap stopped falling first, and
+    "budget" when it ran all ``max_iterations``; only a "budget" trial has
+    ``iterations_used == max_iterations``.  ``mu_achieved`` is measured
+    afterwards, on the packing extracted from that iterate, so a "feasible"
+    trial's ``mu_achieved`` can exceed mu + ``stop_slack``.
     """
 
     iterations_used: int
     gap_history: list = dataclass_field(repr=False)
     stop_reason: str  # "feasible", "stalled" or "budget"
-    final_gram: GramMatrix  # of final_config; final_diameter and mu_achieved measure it
     final_config: Configuration
     final_diameter: float  # packing diameter, or for sphere points the smallest angle
     mu_achieved: float  # largest off-diagonal block magnitude
@@ -235,7 +237,6 @@ def _finish(Gs: np.ndarray, iterations: list, gaps: list, reasons: list,
     return [
         SolveReport(
             iterations_used=iterations[t], gap_history=gaps[t], stop_reason=reasons[t],
-            final_gram=GramMatrix(field=field, K=K, N=N, entries=out[t]),
             final_config=Configuration(field=field, blocks=frames[t]),
             final_diameter=diameters[t], mu_achieved=mu[t],
         )
@@ -273,11 +274,12 @@ def alternate(G0: GramMatrix, params: SolveParams) -> SolveReport:
     Feasibility is checked on the current iterate before each structural
     projection, so a feasible starting matrix returns immediately with zero
     iterations; from iteration 501 on, a stalled gap history (see the module
-    docstring) also ends the solve, with that iterate.  The returned Gram
-    matrix is that of the returned configuration, positive semidefinite with
-    rank at most d and identity diagonal blocks; ``mu_achieved`` and
-    ``final_diameter`` are measured on it, and whether they meet mu is
-    reported, not asserted.
+    docstring) also ends the solve, with that iterate; "feasible" means it
+    met mu + ``stop_slack``.  The packing factored from it, ``final_config``,
+    has a Gram matrix ``gram(report.final_config)`` positive semidefinite
+    with rank at most d and identity diagonal blocks.  ``final_diameter`` and
+    ``mu_achieved`` are measured on it, and the latter may exceed mu +
+    ``stop_slack``.
     """
     if (G0.K, G0.N) != (params.K, params.N):
         raise InvalidInput(

@@ -10,6 +10,7 @@ from grasspack.geometry import (
     Field,
     GramMatrix,
     Metric,
+    _split_blocks,
     as_blocks,
     dist,
     factor,
@@ -56,6 +57,25 @@ def test_principal_angles_plane_geometry():
 def test_principal_angles_shape_mismatch():
     with pytest.raises(InvalidInput):
         principal_angles(np.eye(3)[:, :1], np.eye(4)[:, :1])
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_principal_angles_are_the_split_blocks_singular_values(field, K):
+    # One block-cosine kernel: principal angles, the geodesic distance and
+    # the geodesic packing diameter all read _split_blocks' singular values.
+    pair = random_configuration(6, K, 2, field, np.random.default_rng(K))
+    s = _split_blocks(gram(pair).entries, Metric.SPECTRAL, K, 2)[3][0]
+    angles = np.arccos(np.clip(s, 0.0, 1.0))
+    assert np.array_equal(principal_angles(*pair.blocks), angles)
+    geodesic = float(np.linalg.norm(angles))
+    assert dist(*pair.blocks, Metric.GEODESIC) == geodesic
+    assert packing_diameter(pair, Metric.GEODESIC) == geodesic
+    S, T = pair.blocks
+    with pytest.raises(InvalidInput, match="orthonormal"):
+        principal_angles(S, 2.0 * T)
+    with pytest.raises(InvalidInput, match="orthonormal"):
+        principal_angles(S + 1e-6, T)
 
 
 def test_dist_identical_zero():

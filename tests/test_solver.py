@@ -90,7 +90,7 @@ def test_alternate_identity_fixed_point():
     rep = alternate(g0, params)
     assert rep.iterations_used == 0
     assert rep.stopped_early
-    assert np.allclose(rep.final_gram.entries, np.eye(3), atol=1e-12)
+    assert np.allclose(gram(rep.final_config).entries, np.eye(3), atol=1e-12)
     # orthogonal lines: chordal diameter sin(90 deg) = 1
     assert rep.final_diameter == pytest.approx(1.0, abs=1e-10)
     assert rep.mu_achieved == pytest.approx(0.0, abs=1e-12)
@@ -117,7 +117,7 @@ def test_alternate_gap_history_monotone():
 
 def test_alternate_output_feasibility():
     rep = _solve_random(Metric.SPECTRAL, Field.REAL, 4, 2, 4, mu=0.6, seed=4)
-    g = rep.final_gram
+    g = gram(rep.final_config)
     w = np.linalg.eigvalsh(g.entries)
     assert w[0] >= -1e-8
     assert np.sum(w > 1e-6 * w[-1]) <= 4
@@ -135,7 +135,7 @@ def test_alternate_deterministic():
     assert rep1.iterations_used == rep2.iterations_used
     assert rep1.gap_history == rep2.gap_history
     assert rep1.mu_achieved == rep2.mu_achieved
-    assert np.array_equal(rep1.final_gram.entries, rep2.final_gram.entries)
+    assert np.array_equal(gram(rep1.final_config).entries, gram(rep2.final_config).entries)
 
 
 def test_alternate_bound_sanity():
@@ -183,7 +183,6 @@ def assert_same_report(a, b):
     assert a.iterations_used == b.iterations_used
     assert a.stop_reason == b.stop_reason
     assert a.gap_history == b.gap_history
-    assert np.array_equal(a.final_gram.entries, b.final_gram.entries)
     assert np.array_equal(a.final_config.blocks, b.final_config.blocks)
     assert a.final_diameter == b.final_diameter
     assert a.mu_achieved == b.mu_achieved
@@ -319,8 +318,8 @@ REPORT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
 def test_report_describes_the_returned_packing(case, tmp_path):
-    # The report's Gram matrix, block magnitude and diameter are all those of
-    # the returned configuration, stacked and solo alike, and so is the
+    # The report's block magnitude and diameter are those of the returned
+    # configuration's Gram matrix, stacked and solo alike, and so is the
     # diameter `grasspack eval` reads from the saved configuration.
     metric, field, d, K, N, mu = REPORT_CASES[case]
     starts = [
@@ -334,7 +333,6 @@ def test_report_describes_the_returned_packing(case, tmp_path):
     stacked = _alternate_stack(np.stack([g.entries for g in starts]), params)
     for report in stacked + [alternate(g, params) for g in starts]:
         g = gram(report.final_config)
-        assert np.array_equal(report.final_gram.entries, g.entries)
         assert report.mu_achieved == max_block_magnitude(g, metric)
         if metric is Metric.SPHERE:
             assert report.final_diameter == min_angle(report.mu_achieved, metric)
@@ -458,9 +456,11 @@ def test_at_bound_solve_makes_no_full_decomposition(N, monkeypatch):
         report = alternate(g0, params)
         assert calls == []
         assert report.iterations_used == 60
-        # The loop's iterates are Hermitian only to rounding; what it reports is exact.
-        E = report.final_gram.entries
+        # The loop's iterates are Hermitian only to rounding; what it reports is
+        # measured on the exactly Hermitian Gram matrix of its packing.
+        E = gram(report.final_config).entries
         assert np.array_equal(E, E.conj().T)
+        assert report.mu_achieved == max_block_magnitude(gram(report.final_config), Metric.CHORDAL)
 
 
 def test_warm_spectral_solve_matches_full_solve(monkeypatch):
